@@ -7,13 +7,12 @@ place map, are clustered into typical places (K-means++ / Elbow / distance
 constraint), and loop closures are found coarse-to-fine: super-keyframe
 lookup, then velocity-bounded sequence matching over a difference matrix.
 
-Hot kernels are numba-compiled when SEQLPD_NUMBA permits (default on), with
-bit-identical pure-numpy fallbacks; SEQLPD_THREADS caps worker pools.
+Hot kernels are vectorized numpy with exact tie rules; SEQLPD_THREADS caps
+worker pools.
 """
 
-from ._accel import HAS_NUMBA, NUMBA_ENABLED
 from .cloud import (PointCloud, Pose, SpatialIndex, Submap, accumulate_submap,
-                    knn, load_csv, load_kitti_bin, normalize_submap)
+                    load_csv, load_kitti_bin, normalize_submap)
 from .cluster import (ClusterParams, Clustering, ElbowResult, SuperKeyframes,
                       elbow_select, kmeanspp, load_clusters, nearest_in_cluster,
                       save_clusters, super_keyframes)

@@ -1,39 +1,11 @@
-"""Acceleration switches.
+"""Worker-pool sizing.
 
-Hot kernels exist in two variants: a loop formulation compiled with numba
-and a vectorized numpy fallback.  The active path is chosen once at import
-from the ``SEQLPD_NUMBA`` environment flag (default: on when numba is
-importable).  ``SEQLPD_THREADS`` caps the worker pool used for batch
-descriptor extraction; it never changes numeric results because work is
-split only across independent submaps.
+``SEQLPD_THREADS`` caps the worker pool used for batch descriptor
+extraction; it never changes numeric results because work is split only
+across independent submaps.
 """
 
 import os
-
-try:
-    import numba as _numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _numba = None
-    HAS_NUMBA = False
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-NUMBA_ENABLED = HAS_NUMBA and _env_flag("SEQLPD_NUMBA", True)
-
-
-def njit(fn):
-    """Compile ``fn`` with numba when the numba path is active, else return it unchanged."""
-    if NUMBA_ENABLED:
-        return _numba.njit(cache=True, nogil=True)(fn)
-    return fn
 
 
 def thread_count() -> int:

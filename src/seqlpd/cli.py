@@ -67,6 +67,8 @@ def _load_poses(input_dir):
                 x, y, z = (float(p) for p in parts[1:])
             except ValueError:
                 raise FormatError(f"{path}:{ln}: malformed row") from None
+            if not np.isfinite((x, y, z)).all():
+                raise FormatError(f"{path}:{ln}: non-finite pose")
             poses[fid] = Pose(x, y, z, fid)
     return poses
 

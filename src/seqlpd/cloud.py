@@ -157,7 +157,7 @@ def normalize_submap(cloud: PointCloud, n_sub: int = DEFAULT_SUBMAP_SIZE, seed: 
 
 
 class SpatialIndex:
-    """Balanced KD-tree over a 3-D point set with deterministic tie-breaking."""
+    """Exact kNN over a 3-D point set (KD-tree search, ties to the lower index)."""
 
     def __init__(self, points: np.ndarray):
         self.points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
@@ -182,8 +182,3 @@ class SpatialIndex:
         if len(self) == 0:
             raise EmptyIndex("index holds no points")
         return kernels.kdtree_knn(self._tree, self.points, k)
-
-
-def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
-    """Functional form of :meth:`SpatialIndex.knn`."""
-    return index.knn(query, k)

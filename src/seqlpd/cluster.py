@@ -4,7 +4,7 @@ The place map is partitioned with K-means++ (Lloyd refinement, empty-cluster
 repair), K is chosen by the Elbow method on the distortion curve, then grown
 until every member sits within L2 distance D of its center.  Each cluster
 exports a super keyframe (the member nearest the center, the "typical place")
-and a KD-tree over member descriptors for fast in-cluster lookups.
+and, on first lookup, a KD-tree over member descriptors for in-cluster search.
 
 All cluster math runs in float64; ties break toward the lower index at every
 step so equal seeds give bitwise-equal results.
@@ -186,7 +186,11 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
 
 
 class SuperKeyframes:
-    """Per-cluster typical places and member KD-trees for coarse-to-fine matching."""
+    """Per-cluster typical places and member KD-trees for coarse-to-fine matching.
+
+    ``trees[k]`` stays None until :func:`nearest_in_cluster` first searches
+    cluster k; loop detection routes through the keyframes alone.
+    """
 
     def __init__(self, centers: np.ndarray, keyframes: np.ndarray, members: list,
                  descriptors: np.ndarray):
@@ -195,7 +199,7 @@ class SuperKeyframes:
         self.members = [np.ascontiguousarray(m, dtype=np.int64) for m in members]
         self._desc = np.ascontiguousarray(descriptors, dtype=np.float64)
         self.keyframe_descriptors = self._desc[self.keyframes]
-        self.trees = [kernels.kdtree_build(self._desc[m]) for m in self.members]
+        self.trees = [None] * len(self.members)
 
     @property
     def K(self) -> int:
@@ -207,7 +211,7 @@ class SuperKeyframes:
 
 def super_keyframes(pmap: PlaceMap, clustering: Clustering) -> SuperKeyframes:
     """Pick each cluster's keyframe (member nearest the center, ties to the
-    lower entry index) and build the per-cluster descriptor KD-trees."""
+    lower entry index)."""
     desc = pmap.descriptor_matrix().astype(np.float64)
     if desc.shape[0] != clustering.assignment.shape[0]:
         raise ShapeError(f"clustering covers {clustering.assignment.shape[0]} entries, "
@@ -233,8 +237,10 @@ def nearest_in_cluster(skf: SuperKeyframes, cluster_id: int, query_descriptor,
     if m < 1:
         raise InvalidParams("m must be >= 1")
     q = np.asarray(query_descriptor, dtype=np.float64).reshape(1, -1)
-    size = skf.cluster_size(cluster_id)
-    local = kernels.kdtree_knn(skf.trees[cluster_id], q, min(m, size))[0]
+    tree = skf.trees[cluster_id]
+    if tree is None:  # racing first queries may each build one; any copy answers the same
+        tree = skf.trees[cluster_id] = kernels.kdtree_build(skf._desc[skf.members[cluster_id]])
+    local = kernels.kdtree_knn(tree, q, m)[0]
     return skf.members[cluster_id][local]
 
 
@@ -243,7 +249,7 @@ def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
 
     Layout (little-endian): magic "LPDC", u32 version=1, u32 K, f32 D; per
     cluster u32 keyframe entry index, u32 member count, member entry indices
-    as u32; then centers as K x 256 f32.  KD-trees are rebuilt on load.
+    as u32; then centers as K x 256 f32.  KD-trees are not stored.
     """
     if skf.centers.shape[1] != _LPDC_DIM:
         raise FormatError(f"LPDC stores {_LPDC_DIM}-d centers, got {skf.centers.shape[1]}")

@@ -1,154 +1,34 @@
 """Numeric hot kernels.
 
-Each kernel has a loop formulation (``*_loops``, numba-compiled when the
-numba path is active) and a vectorized numpy fallback (``*_np``).  The
-public wrappers dispatch on :data:`seqlpd._accel.NUMBA_ENABLED`.  Both
-paths implement the same contract, including exact tie handling: distance
-ties are always broken by the lower index.
+Every kernel is vectorized numpy and implements an exact contract:
+distances are computed with the direct squared-difference formula, and
+distance ties are always broken by the lower index.
 
-The KD-tree is array-backed and dimension-generic (used both for 3-D
-point neighborhoods and 256-D descriptor clusters).  Nodes own contiguous
-slices of a reordered copy of the data; pruning uses a non-strict bound so
-equal-distance candidates on the far side of a split are still visited,
-which keeps tie-breaking exact even for duplicated points.
+The point and descriptor KD-trees are ``scipy.spatial.cKDTree`` objects.
+The tree only proposes candidates; :func:`kdtree_knn` recomputes their
+distances exactly and ranks them itself, so the result matches an
+exhaustive scan bit for bit.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
-LEAF_SIZE = 16
-_STACK_CAP = 128  # fits trees far beyond 2**60 points
-
-KDTree = namedtuple(
-    "KDTree",
-    ["data", "index", "node_lo", "node_hi", "node_dim", "node_val", "node_left", "node_right"],
-)
+# extra candidates asked of the tree beyond k, so ties at the k-th
+# distance rarely reach the full-scan fallback
+_KNN_SLACK = 8
+# relative gap between the k-th exact distance and the tree's last
+# candidate below which an unseen point could still tie (covers the
+# tree's differently rounded distance arithmetic)
+_KNN_TIE_RTOL = 1e-9
 
 
-def kdtree_build(points: np.ndarray) -> KDTree:
-    """Build a balanced KD-tree over ``points`` (n, d).
+def kdtree_build(points: np.ndarray):
+    """KD-tree over ``points`` (n, d) for :func:`kdtree_knn`; keeps its own copy."""
+    # imported here: scipy.spatial costs ~0.35 s and ~36 MB, and runs that
+    # never search points (map-only matching) should not pay for it
+    from scipy.spatial import cKDTree
 
-    Splits on the widest-extent dimension at the median; leaves hold up to
-    LEAF_SIZE points.  ``data`` is the reordered copy scanned by queries,
-    ``index`` maps its rows back to original point indices.
-    """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-
-    lo_l, hi_l, dim_l, val_l, left_l, right_l = [], [], [], [], [], []
-
-    def _build(lo: int, hi: int) -> int:
-        node = len(lo_l)
-        lo_l.append(lo)
-        hi_l.append(hi)
-        dim_l.append(-1)
-        val_l.append(0.0)
-        left_l.append(-1)
-        right_l.append(-1)
-        if hi - lo <= LEAF_SIZE:
-            return node
-        sub = idx[lo:hi]
-        coords = pts[sub]
-        dim = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
-        mid = (lo + hi) // 2
-        order = np.argpartition(coords[:, dim], mid - lo)
-        idx[lo:hi] = sub[order]
-        dim_l[node] = dim
-        val_l[node] = float(pts[idx[mid], dim])
-        left_l[node] = _build(lo, mid)
-        right_l[node] = _build(mid, hi)
-        return node
-
-    if n > 0:
-        _build(0, n)
-    else:
-        lo_l, hi_l, dim_l, val_l, left_l, right_l = [0], [0], [-1], [0.0], [-1], [-1]
-    return KDTree(
-        data=np.ascontiguousarray(pts[idx]),
-        index=idx,
-        node_lo=np.asarray(lo_l, dtype=np.int64),
-        node_hi=np.asarray(hi_l, dtype=np.int64),
-        node_dim=np.asarray(dim_l, dtype=np.int64),
-        node_val=np.asarray(val_l, dtype=np.float64),
-        node_left=np.asarray(left_l, dtype=np.int64),
-        node_right=np.asarray(right_l, dtype=np.int64),
-    )
-
-
-def _kdtree_query_loops(data, index, node_lo, node_hi, node_dim, node_val,
-                        node_left, node_right, queries, k):
-    nq = queries.shape[0]
-    n = data.shape[0]
-    d = data.shape[1]
-    kk = min(k, n)
-    out = np.empty((nq, kk), dtype=np.int64)
-    best_d = np.empty(kk, dtype=np.float64)
-    best_i = np.empty(kk, dtype=np.int64)
-    st_node = np.empty(_STACK_CAP, dtype=np.int64)
-    st_bound = np.empty(_STACK_CAP, dtype=np.float64)
-
-    for q in range(nq):
-        m = 0
-        sp = 0
-        st_node[0] = 0
-        st_bound[0] = 0.0
-        sp = 1
-        while sp > 0:
-            sp -= 1
-            node = st_node[sp]
-            bound = st_bound[sp]
-            if m == kk and bound > best_d[kk - 1]:
-                continue
-            dim = node_dim[node]
-            if dim < 0:  # leaf: scan slice
-                for r in range(node_lo[node], node_hi[node]):
-                    d2 = 0.0
-                    for c in range(d):
-                        t = data[r, c] - queries[q, c]
-                        d2 += t * t
-                        if m == kk and d2 > best_d[kk - 1]:
-                            break
-                    if m == kk and d2 > best_d[kk - 1]:
-                        continue
-                    pid = index[r]
-                    if m == kk and d2 == best_d[kk - 1] and pid > best_i[kk - 1]:
-                        continue
-                    # insertion keeping (distance, index) ascending
-                    if m < kk:
-                        m += 1
-                    j = m - 1
-                    while j > 0 and (best_d[j - 1] > d2 or
-                                     (best_d[j - 1] == d2 and best_i[j - 1] > pid)):
-                        best_d[j] = best_d[j - 1]
-                        best_i[j] = best_i[j - 1]
-                        j -= 1
-                    best_d[j] = d2
-                    best_i[j] = pid
-            else:
-                dd = queries[q, dim] - node_val[node]
-                if dd <= 0.0:
-                    near = node_left[node]
-                    far = node_right[node]
-                else:
-                    near = node_right[node]
-                    far = node_left[node]
-                st_node[sp] = far
-                st_bound[sp] = dd * dd
-                sp += 1
-                st_node[sp] = near
-                st_bound[sp] = bound
-                sp += 1
-        for j in range(kk):
-            out[q, j] = best_i[j]
-    return out
-
-
-if NUMBA_ENABLED:
-    _kdtree_query_loops = njit(_kdtree_query_loops)
+    return cKDTree(pts, copy_data=True)
 
 
 def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
@@ -172,77 +52,47 @@ def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
-def _knn_brute_np(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    qs = np.asarray(queries, dtype=np.float64)
-    n, d = pts.shape
+def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
+    """k nearest tree points per query row, ascending (distance, index).
+
+    Saturates at the tree size.  The tree proposes k + 8 candidates per
+    query; their squared distances are recomputed exactly and ranked by
+    (distance, index).  A row whose last candidate is not clearly farther
+    than its k-th neighbor may have an unseen point tied with it, so that
+    row is answered by an exact scan of every point instead.
+    """
+    pts = tree.data
+    qs = np.ascontiguousarray(queries, dtype=np.float64).reshape(-1, pts.shape[1])
+    n = pts.shape[0]
     kk = min(k, n)
-    out = np.empty((qs.shape[0], kk), dtype=np.int64)
-    block = max(1, int(8e6 / max(1, n * d)))
-    for s in range(0, qs.shape[0], block):
-        e = min(s + block, qs.shape[0])
-        diff = qs[s:e, None, :] - pts[None, :, :]
-        d2 = np.einsum("bnd,bnd->bn", diff, diff)
-        out[s:e] = _topk_rows(d2, kk)
-    return out
-
-
-def kdtree_knn(tree: KDTree, queries: np.ndarray, k: int) -> np.ndarray:
-    """k nearest tree points per query row, ascending (distance, index)."""
-    qs = np.ascontiguousarray(queries, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _kdtree_query_loops(tree.data, tree.index, tree.node_lo, tree.node_hi,
-                                   tree.node_dim, tree.node_val, tree.node_left,
-                                   tree.node_right, qs, k)
-    # numpy fallback: exact brute force over the original point order
-    pts = tree.data[np.argsort(tree.index, kind="stable")]
-    return _knn_brute_np(pts, qs, k)
-
-
-def _feature_knn_loops(feats, k):
-    n = feats.shape[0]
-    f = feats.shape[1]
-    kk = min(k, n - 1)
-    out = np.empty((n, kk), dtype=np.int64)
     if kk == 0:
+        return np.empty((qs.shape[0], 0), dtype=np.int64)
+    m = min(kk + _KNN_SLACK, n)
+    far, cand = tree.query(qs, k=m)
+    far = far.reshape(-1, m)[:, -1]
+    cand = cand.reshape(-1, m).astype(np.int64, copy=False)
+    diff = qs[:, None, :] - pts[cand]
+    d2 = np.einsum("bkd,bkd->bk", diff, diff)
+    order = np.lexsort((cand, d2), axis=1)[:, :kk]
+    out = np.take_along_axis(cand, order, axis=1)
+    if m == n:
         return out
-    best_d = np.empty(kk, dtype=np.float64)
-    best_i = np.empty(kk, dtype=np.int64)
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if j == i:
-                continue
-            d2 = 0.0
-            for c in range(f):
-                t = feats[i, c] - feats[j, c]
-                d2 += t * t
-                if m == kk and d2 > best_d[kk - 1]:
-                    break
-            if m == kk and d2 > best_d[kk - 1]:
-                continue
-            if m == kk and d2 == best_d[kk - 1] and j > best_i[kk - 1]:
-                continue
-            if m < kk:
-                m += 1
-            p = m - 1
-            while p > 0 and (best_d[p - 1] > d2 or
-                             (best_d[p - 1] == d2 and best_i[p - 1] > j)):
-                best_d[p] = best_d[p - 1]
-                best_i[p] = best_i[p - 1]
-                p -= 1
-            best_d[p] = d2
-            best_i[p] = j
-        for p in range(kk):
-            out[i, p] = best_i[p]
+    kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+    bad = np.nonzero(kth >= far * far * (1.0 - _KNN_TIE_RTOL))[0]
+    block = max(1, int(8e6 / pts.size))
+    for s in range(0, bad.shape[0], block):
+        rows = bad[s:s + block]
+        diff = qs[rows, None, :] - pts[None, :, :]
+        out[rows] = _topk_rows(np.einsum("bnd,bnd->bn", diff, diff), kk)
     return out
 
 
-if NUMBA_ENABLED:
-    _feature_knn_loops = njit(_feature_knn_loops)
+def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
+    """k nearest rows per row in feature space, excluding the row itself.
 
-
-def _feature_knn_np(feats: np.ndarray, k: int) -> np.ndarray:
+    Saturates at n-1 neighbors; ties broken by lower index.  Returns an
+    (n, min(k, n-1)) index array.
+    """
     x = np.asarray(feats, dtype=np.float64)
     n, f = x.shape
     kk = min(k, n - 1)
@@ -276,77 +126,10 @@ def _feature_knn_np(feats: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
-    """k nearest rows per row in feature space, excluding the row itself.
-
-    Saturates at n-1 neighbors; ties broken by lower index.  Returns an
-    (n, min(k, n-1)) index array.
-    """
-    if NUMBA_ENABLED:
-        return _feature_knn_loops(np.ascontiguousarray(feats, dtype=np.float64), k)
-    return _feature_knn_np(feats, k)
-
-
-def _local_stats_loops(pts, nbr):
-    n = pts.shape[0]
-    kk = nbr.shape[1]
-    out = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        mx = 0.0
-        my = 0.0
-        mz = 0.0
-        zmin = pts[nbr[i, 0], 2]
-        zmax = zmin
-        for p in range(kk):
-            j = nbr[i, p]
-            mx += pts[j, 0]
-            my += pts[j, 1]
-            z = pts[j, 2]
-            mz += z
-            if z < zmin:
-                zmin = z
-            if z > zmax:
-                zmax = z
-        mx /= kk
-        my /= kk
-        mz /= kk
-        cxx = 0.0
-        cyy = 0.0
-        cxy = 0.0
-        szz = 0.0
-        for p in range(kk):
-            j = nbr[i, p]
-            dx = pts[j, 0] - mx
-            dy = pts[j, 1] - my
-            dz = pts[j, 2] - mz
-            cxx += dx * dx
-            cyy += dy * dy
-            cxy += dx * dy
-            szz += dz * dz
-        cxx /= kk
-        cyy /= kk
-        cxy /= kk
-        szz /= kk
-        half = 0.5 * (cxx - cyy)
-        disc = np.sqrt(half * half + cxy * cxy)
-        lam1 = 0.5 * (cxx + cyy) + disc
-        lam2 = 0.5 * (cxx + cyy) - disc
-        if lam1 < 0.0:
-            lam1 = 0.0
-        if lam2 < 0.0:
-            lam2 = 0.0
-        out[i, 0] = zmax - zmin
-        out[i, 1] = szz
-        out[i, 2] = lam1 + lam2
-        out[i, 3] = lam2 / lam1 if lam1 >= 1e-12 else 0.0
-    return out
-
-
-if NUMBA_ENABLED:
-    _local_stats_loops = njit(_local_stats_loops)
-
-
-def _local_stats_np(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Per-point (dz_max, z_var, s2d, l2d) over the neighbor index rows ``nbr``."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    nbr = np.ascontiguousarray(nbr, dtype=np.int64)
     gather = pts[nbr]  # (n, kk, 3)
     x = gather[:, :, 0]
     y = gather[:, :, 1]
@@ -366,44 +149,10 @@ def _local_stats_np(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.stack([dz_max, z_var, lam1 + lam2, l2d], axis=1)
 
 
-def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Per-point (dz_max, z_var, s2d, l2d) over the neighbor index rows ``nbr``."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    nbr = np.ascontiguousarray(nbr, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _local_stats_loops(pts, nbr)
-    return _local_stats_np(pts, nbr)
-
-
-def _kmeans_assign_loops(x, centers):
-    n = x.shape[0]
-    d = x.shape[1]
-    kc = centers.shape[0]
-    assign = np.empty(n, dtype=np.int64)
-    dist2 = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        best = np.inf
-        bestc = 0
-        for c in range(kc):
-            d2 = 0.0
-            for j in range(d):
-                t = x[i, j] - centers[c, j]
-                d2 += t * t
-                if d2 > best:
-                    break
-            if d2 < best:
-                best = d2
-                bestc = c
-        assign[i] = bestc
-        dist2[i] = best
-    return assign, dist2
-
-
-if NUMBA_ENABLED:
-    _kmeans_assign_loops = njit(_kmeans_assign_loops)
-
-
-def _kmeans_assign_np(x: np.ndarray, centers: np.ndarray):
+def kmeans_assign(x: np.ndarray, centers: np.ndarray):
+    """Nearest-center assignment (ties to the lower cluster id) and exact squared distances."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
     sqx = np.einsum("nd,nd->n", x, x)
     sqc = np.einsum("kd,kd->k", centers, centers)
     d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
@@ -413,96 +162,15 @@ def _kmeans_assign_np(x: np.ndarray, centers: np.ndarray):
     return assign, exact
 
 
-def kmeans_assign(x: np.ndarray, centers: np.ndarray):
-    """Nearest-center assignment (ties to the lower cluster id) and exact squared distances."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _kmeans_assign_loops(x, centers)
-    return _kmeans_assign_np(x, centers)
-
-
-def _diff_rows_loops(qd, rd):
-    nq = qd.shape[0]
-    nr = rd.shape[0]
-    d = qd.shape[1]
-    out = np.empty((nq, nr), dtype=np.float64)
-    for a in range(nq):
-        for b in range(nr):
-            acc = 0.0
-            for c in range(d):
-                t = qd[a, c] - rd[b, c]
-                acc += t * t
-            out[a, b] = np.sqrt(acc)
-    return out
-
-
-if NUMBA_ENABLED:
-    _diff_rows_loops = njit(_diff_rows_loops)
-
-
-def _diff_rows_np(qd: np.ndarray, rd: np.ndarray) -> np.ndarray:
+def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
+    """Dense L2 distance matrix, float64, exact zeros for identical rows."""
+    qd = np.ascontiguousarray(query_descs, dtype=np.float64)
+    rd = np.ascontiguousarray(ref_descs, dtype=np.float64)
     out = np.empty((qd.shape[0], rd.shape[0]), dtype=np.float64)
     for a in range(qd.shape[0]):
         diff = rd - qd[a]
         out[a] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
     return out
-
-
-def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
-    """Dense L2 distance matrix, float64, exact zeros for identical rows."""
-    qd = np.ascontiguousarray(query_descs, dtype=np.float64)
-    rd = np.ascontiguousarray(ref_descs, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _diff_rows_loops(qd, rd)
-    return _diff_rows_np(qd, rd)
-
-
-def _traj_grid_loops(m, offsets):
-    rows = m.shape[0]
-    cols = m.shape[1]
-    nv = offsets.shape[0]
-    w = offsets.shape[1]
-    best = np.full(cols, np.inf, dtype=np.float64)
-    best_v = np.full(cols, -1, dtype=np.int64)
-    for vi in range(nv):
-        omax = offsets[vi, 0]
-        for t in range(w):
-            if offsets[vi, t] > omax:
-                omax = offsets[vi, t]
-        for ref in range(omax, cols):
-            acc = 0.0
-            for t in range(w):
-                acc += m[rows - 1 - t, ref - offsets[vi, t]]
-            score = acc / w
-            if score < best[ref]:
-                best[ref] = score
-                best_v[ref] = vi
-    return best, best_v
-
-
-if NUMBA_ENABLED:
-    _traj_grid_loops = njit(_traj_grid_loops)
-
-
-def _traj_grid_np(m: np.ndarray, offsets: np.ndarray):
-    rows, cols = m.shape
-    nv, w = offsets.shape
-    best = np.full(cols, np.inf, dtype=np.float64)
-    best_v = np.full(cols, -1, dtype=np.int64)
-    for vi in range(nv):
-        off = offsets[vi]
-        omax = int(off.max())
-        if omax >= cols:
-            continue
-        acc = np.zeros(cols - omax, dtype=np.float64)
-        for t in range(w):
-            acc += m[rows - 1 - t, omax - off[t]: cols - off[t]]
-        acc /= w
-        upd = acc < best[omax:]
-        best[omax:][upd] = acc[upd]
-        best_v[omax:][upd] = vi
-    return best, best_v
 
 
 def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
@@ -520,20 +188,20 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
         raise ValueError("window exceeds row count")
     if offsets.size and offsets.min() < 0:
         raise ValueError("negative offsets unsupported")
-    if NUMBA_ENABLED:
-        return _traj_grid_loops(m, offsets)
-    return _traj_grid_np(m, offsets)
-
-
-def warmup() -> None:
-    """Force one compilation of every jitted kernel (no-op on the numpy path)."""
-    if not NUMBA_ENABLED:
-        return
-    pts = np.random.default_rng(0).random((32, 3))
-    tree = kdtree_build(pts)
-    kdtree_knn(tree, pts[:2], 3)
-    feature_knn(pts, 2)
-    local_stats(pts, np.zeros((32, 3), dtype=np.int64))
-    kmeans_assign(pts, pts[:2])
-    pairwise_l2(pts, pts)
-    trajectory_grid(np.ones((4, 8)), np.zeros((2, 3), dtype=np.int64))
+    rows, cols = m.shape
+    nv, w = offsets.shape
+    best = np.full(cols, np.inf, dtype=np.float64)
+    best_v = np.full(cols, -1, dtype=np.int64)
+    for vi in range(nv):
+        off = offsets[vi]
+        omax = int(off.max())
+        if omax >= cols:
+            continue
+        acc = np.zeros(cols - omax, dtype=np.float64)
+        for t in range(w):
+            acc += m[rows - 1 - t, omax - off[t]: cols - off[t]]
+        acc /= w
+        upd = acc < best[omax:]
+        best[omax:][upd] = acc[upd]
+        best_v[omax:][upd] = vi
+    return best, best_v

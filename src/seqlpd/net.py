@@ -15,6 +15,7 @@ pipeline tests.  Descriptors are plain float32 numpy vectors.
 """
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -96,6 +97,20 @@ class WeightSet:
     def __init__(self, tensors: dict):
         self._tensors = {name: np.ascontiguousarray(t, dtype=np.float32)
                          for name, t in tensors.items()}
+        self._f64 = {}
+        self._f64_lock = threading.Lock()
+
+    def float64(self, name: str) -> np.ndarray:
+        """Read-only float64 copy of one tensor, converted on first use and then shared."""
+        # the lock keeps concurrent describe threads from each converting
+        # the same (possibly 134 MB) tensor
+        with self._f64_lock:
+            out = self._f64.get(name)
+            if out is None:
+                out = self[name].astype(np.float64)
+                out.flags.writeable = False
+                self._f64[name] = out
+        return out
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -294,7 +309,7 @@ def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -
     if flat.shape[0] != proj_w.shape[0]:
         raise ShapeError(f"tensor 'vlad.proj.w' expects input width {proj_w.shape[0]}, "
                          f"got {flat.shape[0]}")
-    out = flat @ proj_w.astype(np.float64) + ws["vlad.proj.b"].astype(np.float64)
+    out = flat @ ws.float64("vlad.proj.w") + ws["vlad.proj.b"].astype(np.float64)
     norm = float(np.linalg.norm(out))
     if norm == 0.0:
         raise NormError("projection produced a zero vector")

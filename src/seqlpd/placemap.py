@@ -48,7 +48,8 @@ class PlaceMap:
         return self.entries[0].descriptor.shape[0] if self.entries else 0
 
     def insert(self, entry: PlaceEntry) -> "PlaceMap":
-        """Append an entry; frame ids must strictly increase and the descriptor must be unit-norm."""
+        """Append an entry; frame ids must strictly increase and the descriptor
+        must be finite and unit-norm."""
         if entry.frame_id < 0:
             raise OrderError(f"negative frame id {entry.frame_id}")
         if self.entries and entry.frame_id <= self.entries[-1].frame_id:
@@ -57,6 +58,8 @@ class PlaceMap:
         d = np.ascontiguousarray(entry.descriptor, dtype=np.float32).ravel()
         if self.entries and d.shape[0] != self.dim:
             raise DimensionError(f"descriptor dim {d.shape[0]}, map dim {self.dim}")
+        if not np.isfinite(d).all():
+            raise NormError("descriptor has a non-finite value")
         norm = float(np.linalg.norm(d.astype(np.float64)))
         if abs(norm - 1.0) > _NORM_TOL:
             raise NormError(f"descriptor norm {norm:.6f} not within {_NORM_TOL} of 1")
@@ -76,10 +79,6 @@ class PlaceMap:
 
     def frame_ids(self) -> np.ndarray:
         return np.array([e.frame_id for e in self.entries], dtype=np.int64)
-
-
-def insert(pmap: PlaceMap, entry: PlaceEntry) -> PlaceMap:
-    return pmap.insert(entry)
 
 
 def l2(d1: np.ndarray, d2: np.ndarray) -> float:

@@ -76,6 +76,33 @@ def kmeans_assign_oracle(x: np.ndarray, centers: np.ndarray):
     return assign, d2
 
 
+def pairwise_l2_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance of every row of ``a`` to every row of ``b``, one pair at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.empty((len(a), len(b)), dtype=np.float64)
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            out[i, j] = math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(ra, rb)))
+    return out
+
+
+def trajectory_grid_oracle(m: np.ndarray, offsets: np.ndarray):
+    """Best mean score per end column over velocity offset rows, ties to the
+    lower velocity; unreachable columns keep (inf, -1)."""
+    mat = np.asarray(m, dtype=np.float64)
+    rows, cols = mat.shape
+    best = [math.inf] * cols
+    best_v = [-1] * cols
+    for vi, off in enumerate(np.asarray(offsets).tolist()):
+        for ref in range(max(off), cols):
+            score = sum(mat[rows - 1 - t, ref - o] for t, o in enumerate(off)) / len(off)
+            if score < best[ref]:
+                best[ref] = score
+                best_v[ref] = vi
+    return np.array(best), np.array(best_v, dtype=np.int64)
+
+
 def two_partition_oracle(x: np.ndarray):
     """Best K=2 clustering by exhaustive partition enumeration (small n only)."""
     x = np.asarray(x, dtype=np.float64)

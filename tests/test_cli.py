@@ -210,6 +210,20 @@ def test_eval_requires_poses(corpus, tmp_path, capsys):
     assert code == 1 and err.startswith("E:InvalidParams:")
 
 
+def test_non_finite_pose_is_format_error(corpus, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for name in ("000000.bin", "000001.bin"):
+        (frames / name).write_bytes((corpus / "c" / "map" / name).read_bytes())
+    for bad in ("nan", "inf"):
+        (frames / "poses.csv").write_text(f"frame_id,x,y,z\n0,0,0,0\n1,{bad},0,0\n")
+        code, _, err = _run(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")]
+                            + DESCRIBE_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith("E:FormatError:") and "poses.csv:3" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "seqlpd.cli", "synth", str(tmp_path / "c"),

@@ -183,6 +183,27 @@ def test_nearest_in_cluster_matches_brute_force():
         np.testing.assert_array_equal(got, want)
 
 
+def test_nearest_in_cluster_builds_one_tree_lazily():
+    rng = np.random.default_rng(14)
+    descs = random_unit(rng, 60, 256)
+    descs[30:40] = descs[7]  # a tied group inside one cluster
+    pm = _map_from(descs)
+    c = cluster.kmeanspp(descs.astype(np.float64), K=3, seed=0)
+    skf = cluster.super_keyframes(pm, c)
+    assert skf.trees == [None, None, None]
+    k = int(c.assignment[7])
+    x = descs.astype(np.float64)
+    members = skf.members[k]
+    for q in (x[7], rng.normal(size=256)):
+        got = cluster.nearest_in_cluster(skf, k, q, 12)
+        np.testing.assert_array_equal(got, members[knn_oracle(x[members], q[None, :], 12)[0]])
+    tree = skf.trees[k]
+    assert tree is not None and tree.data.shape == (members.shape[0], 256)
+    assert sum(t is not None for t in skf.trees) == 1
+    cluster.nearest_in_cluster(skf, k, x[0], 1)
+    assert skf.trees[k] is tree  # built once, then reused
+
+
 def test_nearest_in_cluster_member_query_and_saturation():
     rng = np.random.default_rng(10)
     descs = random_unit(rng, 20, 256)

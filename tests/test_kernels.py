@@ -1,22 +1,15 @@
-"""Both kernel paths (loop/numba and vectorized numpy) must agree.
-
-The public wrappers dispatch on the import-time SEQLPD_NUMBA flag; here the
-two implementations are also called directly so a single test session
-exercises both, and a subprocess check confirms the flag really switches
-paths while leaving results unchanged.
+"""Each kernel must agree with the loop formulation of its contract in
+``tests/oracles.py``, and the kNN kernel's two paths (KD-tree candidates
+with an exact re-rank, and the exact full scan it falls back to on ties)
+must agree with each other bit for bit.
 """
-
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
-from oracles import kmeans_assign_oracle, knn_oracle
-from seqlpd import kernels
-from seqlpd._accel import HAS_NUMBA
+from oracles import (feature_knn_oracle, kmeans_assign_oracle, knn_oracle,
+                     local_feature_oracle, pairwise_l2_oracle, trajectory_grid_oracle)
+from seqlpd import cloud, kernels
 
 
 def _offsets(w):
@@ -24,20 +17,90 @@ def _offsets(w):
     return np.floor(vs[:, None] * np.arange(w)[None, :] + 0.5).astype(np.int64)
 
 
-def test_kdtree_paths_agree_and_match_oracle():
+def _knn_and_scans(monkeypatch, pts, queries, k, force=False):
+    """kdtree_knn's result and the number of rows it answered by the exact
+    full scan; ``force`` sends every row there."""
+    rows = []
+    topk = kernels._topk_rows
+    monkeypatch.setattr(kernels, "_topk_rows",
+                        lambda d2, kk: rows.append(d2.shape[0]) or topk(d2, kk))
+    if force:
+        monkeypatch.setattr(kernels, "_KNN_TIE_RTOL", 2.0)  # every row "may tie"
+    out = kernels.kdtree_knn(kernels.kdtree_build(pts), queries, k)
+    monkeypatch.undo()
+    return out, sum(rows)
+
+
+def test_kdtree_paths_agree_and_match_oracle(monkeypatch):
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(300, 3))
     pts[50] = pts[10]  # duplicate forces an exact tie
-    tree = kernels.kdtree_build(pts)
-    assert sorted(tree.index.tolist()) == list(range(300))
     queries = np.ascontiguousarray(rng.normal(size=(40, 3)))
-    loops = kernels._kdtree_query_loops(tree.data, tree.index, tree.node_lo,
-                                        tree.node_hi, tree.node_dim, tree.node_val,
-                                        tree.node_left, tree.node_right, queries, 7)
-    brute = kernels._knn_brute_np(pts, queries, 7)
-    assert np.array_equal(loops, brute)
-    assert np.array_equal(loops, knn_oracle(pts, queries, 7))
-    assert np.array_equal(kernels.kdtree_knn(tree, queries, 7), loops)
+    tree = kernels.kdtree_build(pts)
+    assert tree.data.shape == (300, 3)
+    want = knn_oracle(pts, queries, 7)
+    got, scans = _knn_and_scans(monkeypatch, pts, queries, 7)
+    assert scans == 0  # answered from the tree's candidates alone
+    np.testing.assert_array_equal(got, want)
+    scanned, scans = _knn_and_scans(monkeypatch, pts, queries, 7, force=True)
+    assert scans == 40
+    np.testing.assert_array_equal(scanned, want)
+    self_nbr = kernels.kdtree_knn(tree, pts, 7)
+    assert self_nbr[10, :2].tolist() == [10, 50] and self_nbr[50, :2].tolist() == [10, 50]
+
+
+def test_kdtree_knn_upsampled_submaps_match_oracle(monkeypatch):
+    """Undersized clouds are filled with duplicated points: many exact ties."""
+    rng = np.random.default_rng(1)
+    total = 0
+    for n_points, n_sub in ((40, 400), (150, 600), (256, 1024)):
+        cloud_in = cloud.PointCloud(rng.normal(size=(n_points, 3)))
+        pts = cloud.normalize_submap(cloud_in, n_sub=n_sub, seed=n_points).points
+        got, scans = _knn_and_scans(monkeypatch, pts, pts, 20)
+        total += scans
+        np.testing.assert_array_equal(got, knn_oracle(pts, pts, 20))
+    # 40 points filled to 400 leave ~10 copies of each: a copy group holding
+    # the 20th rank can run past the 28 candidates
+    assert total > 0
+
+
+def test_kdtree_knn_integer_grid_ties(monkeypatch):
+    axis = np.arange(10, dtype=np.float64)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid[np.random.default_rng(2).permutation(grid.shape[0])]
+    for k, tied in ((20, False), (8, True)):
+        got, scans = _knn_and_scans(monkeypatch, grid, grid, k)
+        np.testing.assert_array_equal(got, knn_oracle(grid, grid, k))
+        # an inner point's 8th neighbor opens the 12-point shell at distance
+        # sqrt(2), which runs past its 16 candidates; at k=20 the 8-point
+        # shell at sqrt(3) ends inside its 28
+        assert (scans > 0) == tied
+    centre = np.array([[4.5, 4.5, 4.5]])  # eight corners at one distance
+    np.testing.assert_array_equal(kernels.kdtree_knn(kernels.kdtree_build(grid), centre, 5),
+                                  knn_oracle(grid, centre, 5))
+
+
+def test_kdtree_knn_saturation_and_tiny_inputs():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(12, 3))
+    tree = kernels.kdtree_build(pts)
+    for k in (12, 13, 50):  # k >= n returns every point, ranked
+        got = kernels.kdtree_knn(tree, pts, k)
+        assert got.shape == (12, 12)
+        np.testing.assert_array_equal(got, knn_oracle(pts, pts, k))
+    one = kernels.kdtree_build(pts[:1])
+    np.testing.assert_array_equal(kernels.kdtree_knn(one, rng.normal(size=(4, 3)), 5),
+                                  np.zeros((4, 1), dtype=np.int64))
+    query = rng.normal(size=3)  # a single external query as a flat vector
+    np.testing.assert_array_equal(kernels.kdtree_knn(tree, query, 4),
+                                  knn_oracle(pts, query[None, :], 4))
+
+
+def test_kdtree_build_copies_points():
+    pts = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+    tree = kernels.kdtree_build(pts)
+    pts[0] = 10.0  # the caller's array changes; the tree must not
+    np.testing.assert_array_equal(kernels.kdtree_knn(tree, np.zeros((1, 3)), 1), [[0]])
 
 
 def test_feature_knn_paths_agree():
@@ -45,60 +108,53 @@ def test_feature_knn_paths_agree():
     feats = np.ascontiguousarray(rng.normal(size=(250, 5)))
     feats[100] = feats[3]
     feats[101] = feats[3]
-    loops = kernels._feature_knn_loops(feats, 9)
-    vec = kernels._feature_knn_np(feats, 9)
-    assert np.array_equal(loops, vec)
-    assert np.array_equal(kernels.feature_knn(feats, 9), loops)
+    got = kernels.feature_knn(feats, 9)
+    np.testing.assert_array_equal(got, feature_knn_oracle(feats, 9))
     # duplicated rows pick each other first, lower index winning the tie
-    assert loops[100, 0] == 3 and loops[100, 1] == 101
-    assert loops[101, 0] == 3 and loops[101, 1] == 100
+    assert got[100, 0] == 3 and got[100, 1] == 101
+    assert got[101, 0] == 3 and got[101, 1] == 100
 
 
 def test_local_stats_paths_agree():
     rng = np.random.default_rng(2)
     pts = np.ascontiguousarray(rng.normal(size=(200, 3)))
     nbr = np.ascontiguousarray(rng.integers(0, 200, size=(200, 12)), dtype=np.int64)
-    loops = kernels._local_stats_loops(pts, nbr)
-    vec = kernels._local_stats_np(pts, nbr)
-    np.testing.assert_allclose(loops, vec, rtol=1e-10, atol=1e-12)
+    got = kernels.local_stats(pts, nbr)
+    want = np.array([local_feature_oracle(pts, row) for row in nbr])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_kmeans_assign_paths_agree():
     rng = np.random.default_rng(3)
     x = np.ascontiguousarray(rng.normal(size=(400, 6)))
     centers = np.ascontiguousarray(x[rng.choice(400, size=7, replace=False)])
-    a_loops, d_loops = kernels._kmeans_assign_loops(x, centers)
-    a_vec, d_vec = kernels._kmeans_assign_np(x, centers)
-    assert np.array_equal(a_loops, a_vec)
-    np.testing.assert_allclose(d_loops, d_vec, rtol=1e-10, atol=1e-12)
+    assign, d2 = kernels.kmeans_assign(x, centers)
     a_ref, d_ref = kmeans_assign_oracle(x, centers)
-    assert np.array_equal(a_loops, a_ref)
-    np.testing.assert_allclose(d_loops, d_ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_array_equal(assign, a_ref)
+    np.testing.assert_allclose(d2, d_ref, rtol=1e-10, atol=1e-12)
 
 
 def test_pairwise_l2_paths_agree_with_exact_zero():
     rng = np.random.default_rng(4)
     a = np.ascontiguousarray(rng.normal(size=(30, 16)))
     b = np.ascontiguousarray(np.vstack([rng.normal(size=(20, 16)), a[5:7]]))
-    loops = kernels._diff_rows_loops(a, b)
-    vec = kernels._diff_rows_np(a, b)
-    np.testing.assert_allclose(loops, vec, rtol=1e-12, atol=1e-14)
-    assert loops[5, 20] == 0.0 and vec[5, 20] == 0.0
-    assert loops[6, 21] == 0.0 and vec[6, 21] == 0.0
+    got = kernels.pairwise_l2(a, b)
+    np.testing.assert_allclose(got, pairwise_l2_oracle(a, b), rtol=1e-12, atol=1e-14)
+    assert got[5, 20] == 0.0 and got[6, 21] == 0.0
 
 
 def test_trajectory_grid_paths_agree():
     rng = np.random.default_rng(5)
     m = np.ascontiguousarray(rng.random((12, 80)))
     off = _offsets(10)
-    b_loops, v_loops = kernels._traj_grid_loops(m, off)
-    b_vec, v_vec = kernels._traj_grid_np(m, off)
-    assert np.array_equal(np.isinf(b_loops), np.isinf(b_vec))
-    finite = np.isfinite(b_loops)
-    np.testing.assert_allclose(b_loops[finite], b_vec[finite], rtol=1e-12)
-    assert np.array_equal(v_loops, v_vec)
+    best, best_v = kernels.trajectory_grid(m, off)
+    b_ref, v_ref = trajectory_grid_oracle(m, off)
+    assert np.array_equal(np.isinf(best), np.isinf(b_ref))
+    finite = np.isfinite(best)
+    np.testing.assert_allclose(best[finite], b_ref[finite], rtol=1e-12)
+    np.testing.assert_array_equal(best_v, v_ref)
     # columns reachable by no velocity stay unset
-    assert v_loops[: int(off.max(axis=1).min())].max() == -1
+    assert best_v[: int(off.max(axis=1).min())].max() == -1
 
 
 def test_trajectory_grid_validation():
@@ -106,58 +162,3 @@ def test_trajectory_grid_validation():
         kernels.trajectory_grid(np.ones((3, 10)), _offsets(5))
     with pytest.raises(ValueError):
         kernels.trajectory_grid(np.ones((5, 10)), -np.ones((2, 3), dtype=np.int64))
-
-
-def test_warmup_runs_on_either_path():
-    kernels.warmup()
-
-
-_DUMP = textwrap.dedent("""
-    import sys
-    import numpy as np
-    from seqlpd import kernels
-    from seqlpd._accel import NUMBA_ENABLED
-
-    rng = np.random.default_rng(42)
-    pts = rng.normal(size=(300, 3))
-    tree = kernels.kdtree_build(pts)
-    nbr = kernels.kdtree_knn(tree, pts, 6)
-    feats = rng.normal(size=(150, 5))
-    x = rng.normal(size=(200, 4))
-    a = rng.normal(size=(20, 16))
-    b = rng.normal(size=(30, 16))
-    m = rng.random((12, 60))
-    off = np.floor((0.8 + 0.1 * np.arange(5))[:, None]
-                   * np.arange(10)[None, :] + 0.5).astype(np.int64)
-    assign, dist2 = kernels.kmeans_assign(x, x[:5])
-    best, best_v = kernels.trajectory_grid(m, off)
-    np.savez(sys.argv[1],
-             numba=np.array([1 if NUMBA_ENABLED else 0]),
-             nbr=nbr,
-             fk=kernels.feature_knn(feats, 9),
-             stats=kernels.local_stats(pts, nbr),
-             assign=assign, dist2=dist2,
-             pl=kernels.pairwise_l2(a, b),
-             best=best, best_v=best_v)
-""")
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_env_flag_switches_path_without_changing_results(tmp_path):
-    script = tmp_path / "dump.py"
-    script.write_text(_DUMP)
-    outs = {}
-    for mode in ("0", "1"):
-        out = tmp_path / f"out{mode}.npz"
-        env = dict(os.environ, SEQLPD_NUMBA=mode)
-        proc = subprocess.run([sys.executable, str(script), str(out)],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs[mode] = np.load(out)
-    assert outs["0"]["numba"][0] == 0
-    assert outs["1"]["numba"][0] == 1
-    for key in ("nbr", "fk", "assign", "best_v"):
-        assert np.array_equal(outs["0"][key], outs["1"][key]), key
-    for key in ("stats", "dist2", "pl", "best"):
-        np.testing.assert_allclose(outs["0"][key], outs["1"][key],
-                                   rtol=1e-10, atol=1e-12, err_msg=key)

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -134,6 +136,31 @@ def test_netvlad_unit_norm_and_dtype():
     assert d.dtype == np.float32
     assert d.shape == (40,)
     assert np.linalg.norm(d.astype(np.float64)) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_weightset_float64_converts_once_across_threads():
+    ws = net.random_weights(SMALL, seed=8)
+    got = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        got.append(ws.float64("vlad.proj.w"))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    assert all(a is got[0] for a in got)  # one shared conversion, no duplicate
+    np.testing.assert_array_equal(got[0], ws["vlad.proj.w"].astype(np.float64))
+    assert not got[0].flags.writeable
 
 
 def test_netvlad_zero_projection_guard():

@@ -41,6 +41,24 @@ def test_insert_rejects_bad_norm():
         pm.insert(_entry(0, 0.5 * _unit()))
 
 
+def test_insert_and_load_reject_non_finite_descriptor(tmp_path):
+    for bad_value in (np.nan, np.inf):
+        desc = _unit()
+        desc[3] = bad_value
+        with pytest.raises(NormError, match="non-finite"):
+            placemap.PlaceMap().insert(_entry(0, desc))
+    pm = placemap.PlaceMap()
+    pm.insert(_entry(0, _unit()))
+    path = tmp_path / "map.lpdm"
+    placemap.save(pm, path)
+    blob = bytearray(path.read_bytes())
+    # first descriptor value follows the 20-byte header and 32-byte entry head
+    blob[52:56] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="non-finite"):
+        placemap.load(path)
+
+
 def test_insert_rejects_dim_change():
     pm = placemap.PlaceMap()
     pm.insert(_entry(0, _unit(dim=16)))
