@@ -8,6 +8,15 @@ and, on first lookup, a KD-tree over member descriptors for in-cluster search.
 
 All cluster math runs in float64; ties break toward the lower index at every
 step so equal seeds give bitwise-equal results.
+
+In the elbow sweep, each K is an independent job: three seeded restarts,
+reduced in restart order with a strict ``<``.  On maps of at least
+``_POOL_MIN_SIZE`` matrix elements (about 1,024 rows at d = 256) the jobs
+run on a pool of ``min(SEQLPD_THREADS, usable CPUs)`` threads; smaller maps
+run them serially, since their jobs are too short to gain from threads.
+The chosen clustering does not depend on the worker count.  The exact
+distance passes run in cache-sized row blocks; each row's value is the same
+as in an unblocked pass.
 """
 
 import struct
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._accel import run_jobs, thread_count, usable_cpus
 from .errors import (EmptyInput, FormatError, InvalidCluster, InvalidK, InvalidParams,
                      IoError, ShapeError)
 from .placemap import PlaceMap
@@ -23,6 +33,9 @@ from .placemap import PlaceMap
 _LPDC_MAGIC = b"LPDC"
 _LPDC_VERSION = 1
 _LPDC_DIM = 256
+# below this many matrix elements (about 1,024 rows at d = 256) a restart is
+# Python-bound, and threads would only contend for the GIL
+_POOL_MIN_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,13 @@ class ElbowResult:
 def _seed_centers(x: np.ndarray, k: int, rng) -> np.ndarray:
     """K-means++ seeding: first center uniform, the rest weighted by squared distance."""
     n = x.shape[0]
+    step = kernels.row_block(x.shape[1])
+    d2 = np.empty(n)
+    # row blocks keep the temporaries in cache; each row's value is unchanged
+    blocks = [(x[s:s + step], d2[s:s + step]) for s in range(0, n, step)]
     chosen = [int(rng.integers(n))]
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for xb, db in blocks:
+        db[:] = ((xb - x[chosen[0]]) ** 2).sum(axis=1)
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
     for _ in range(1, k):
@@ -88,7 +106,8 @@ def _seed_centers(x: np.ndarray, k: int, rng) -> np.ndarray:
             j = int(np.flatnonzero(~taken)[0])
         chosen.append(j)
         taken[j] = True
-        d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
+        for xb, db in blocks:
+            np.minimum(db, ((xb - x[j]) ** 2).sum(axis=1), out=db)
     return x[np.array(chosen, dtype=np.int64)].copy()
 
 
@@ -115,9 +134,12 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
     for _ in range(iters_max):
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=K)
-        for k in range(K):
-            if counts[k] > 0:
-                new_centers[k] = x[assign == k].mean(axis=0)
+        # each cluster's rows in ascending index order, as a boolean mask
+        # would select them, so every mean sums the same rows in the same order
+        order = np.argsort(assign, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for k in np.flatnonzero(counts).tolist():
+            new_centers[k] = x[order[bounds[k]:bounds[k + 1]]].mean(axis=0)
         if (counts == 0).any():
             pool = d2.copy()
             for k in np.flatnonzero(counts == 0):
@@ -162,7 +184,11 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     n = x.shape[0]
     k_max = min(params.K_max, n)
 
-    runs = {k: _best_of_restarts(x, k, params) for k in range(1, k_max + 1)}
+    # one job per K, largest first, so the longest jobs do not finish last
+    # on one thread; a job keeps only its best restart
+    ks = list(range(k_max, 0, -1))
+    workers = min(thread_count(), usable_cpus()) if x.size >= _POOL_MIN_SIZE else 1
+    runs = dict(zip(ks, run_jobs(lambda k: _best_of_restarts(x, k, params), ks, workers)))
     j_curve = tuple(runs[k].distortion for k in range(1, k_max + 1))
 
     if k_max >= 3:
@@ -294,6 +320,12 @@ def load_clusters(path, pmap: PlaceMap):
         raise FormatError(f"{path}: unsupported version {version}")
     if kk < 1:
         raise FormatError(f"{path}: K must be >= 1")
+    # checked before K sizes anything: a cluster takes at least its 8-byte
+    # head, one member and its center
+    need = kk * (12 + 4 * _LPDC_DIM)
+    if need > len(blob) - off:
+        raise FormatError(f"{path}: truncated: K={kk} needs at least {need} bytes "
+                          f"after the header, {len(blob) - off} remain")
     keyframes = np.empty(kk, dtype=np.int64)
     members = []
     seen = set()

@@ -19,6 +19,18 @@ _KNN_SLACK = 8
 # candidate below which an unseen point could still tie (covers the
 # tree's differently rounded distance arithmetic)
 _KNN_TIE_RTOL = 1e-9
+# elements per row block of the exact distance passes (1 MB of float64):
+# small enough that each block's temporaries stay in cache
+_BLOCK_ELEMS = 1 << 17
+
+
+def row_block(d: int) -> int:
+    """Rows per block for a distance pass over ``d``-dimensional rows (512 at d = 256).
+
+    A blocked pass gives each row the same value as the unblocked one; it only
+    keeps the temporaries small.
+    """
+    return max(1, _BLOCK_ELEMS // max(1, d))
 
 
 def kdtree_build(points: np.ndarray):
@@ -157,8 +169,11 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray):
     sqc = np.einsum("kd,kd->k", centers, centers)
     d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
     assign = np.argmin(d2, axis=1)
-    diff = x - centers[assign]
-    exact = np.einsum("nd,nd->n", diff, diff)
+    exact = np.empty(x.shape[0], dtype=np.float64)
+    step = row_block(x.shape[1])
+    for s in range(0, x.shape[0], step):
+        diff = x[s:s + step] - centers[assign[s:s + step]]
+        exact[s:s + step] = np.einsum("nd,nd->n", diff, diff)
     return assign, exact
 
 
@@ -167,9 +182,11 @@ def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
     qd = np.ascontiguousarray(query_descs, dtype=np.float64)
     rd = np.ascontiguousarray(ref_descs, dtype=np.float64)
     out = np.empty((qd.shape[0], rd.shape[0]), dtype=np.float64)
+    step = row_block(rd.shape[1])
     for a in range(qd.shape[0]):
-        diff = rd - qd[a]
-        out[a] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+        for s in range(0, rd.shape[0], step):
+            diff = rd[s:s + step] - qd[a]
+            out[a, s:s + step] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
     return out
 
 

@@ -43,9 +43,7 @@ def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
 
 def _top_n(query_descs: np.ndarray, db_descs: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n nearest database rows per query, ties to lower index."""
-    dists = kernels.pairwise_l2(query_descs, db_descs)
-    order = np.argsort(dists, axis=1, kind="stable")
-    return order[:, :n]
+    return kernels._topk_rows(kernels.pairwise_l2(query_descs, db_descs), n)
 
 
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,

@@ -5,13 +5,15 @@ for sequence matching; poses ride along for ground-truth evaluation only.
 The on-disk form is the LPDM container described in ``save``.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloud import Pose
-from .errors import DimensionError, FormatError, IoError, NormError, OrderError
+from .errors import (DimensionError, FormatError, InvalidParams, IoError, NormError,
+                     OrderError)
 
 _LPDM_MAGIC = b"LPDM"
 _LPDM_VERSION = 1
@@ -48,13 +50,16 @@ class PlaceMap:
         return self.entries[0].descriptor.shape[0] if self.entries else 0
 
     def insert(self, entry: PlaceEntry) -> "PlaceMap":
-        """Append an entry; frame ids must strictly increase and the descriptor
-        must be finite and unit-norm."""
+        """Append an entry; frame ids must strictly increase, the pose must be
+        finite and the descriptor finite and unit-norm."""
         if entry.frame_id < 0:
             raise OrderError(f"negative frame id {entry.frame_id}")
         if self.entries and entry.frame_id <= self.entries[-1].frame_id:
             raise OrderError(f"frame id {entry.frame_id} not greater than "
                              f"{self.entries[-1].frame_id}")
+        p = entry.pose
+        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
+            raise InvalidParams(f"frame {entry.frame_id}: pose has a non-finite coordinate")
         d = np.ascontiguousarray(entry.descriptor, dtype=np.float32).ravel()
         if self.entries and d.shape[0] != self.dim:
             raise DimensionError(f"descriptor dim {d.shape[0]}, map dim {self.dim}")
@@ -140,7 +145,7 @@ def load(path) -> PlaceMap:
         last_id = frame_id
         try:
             pmap.insert(PlaceEntry(int(frame_id), Pose(x, y, z, int(frame_id)), desc))
-        except (OrderError, NormError, DimensionError) as exc:
+        except (OrderError, NormError, DimensionError, InvalidParams) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")

@@ -1,11 +1,16 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seqlpd import cluster, placemap
+from seqlpd import _accel, cluster, placemap
 from seqlpd.cloud import Pose
 from seqlpd.errors import (FormatError, InvalidCluster, InvalidK, InvalidParams)
 
-from oracles import kmeans_assign_oracle, knn_oracle, random_unit, two_partition_oracle
+from oracles import (elbow_oracle, kmeans_assign_oracle, knn_oracle, random_unit,
+                     two_partition_oracle)
 
 
 def _blobs(rng, n_per=30, dim=256, sep=1.0, sigma=0.01, k=3):
@@ -125,6 +130,131 @@ def test_elbow_validates_params():
         cluster.ClusterParams(D=1.0, K_max=0)
     with pytest.raises(InvalidParams):
         cluster.elbow_select(np.zeros((1, 4)), cluster.ClusterParams(D=1.0))
+
+
+def _elbow_input(kind, n, seed):
+    """256-d unit rows: random, rounded to a coarse grid (distance ties
+    everywhere), or a few distinct rows repeated (K-means++ runs out of
+    distinct points, so duplicate centers leave clusters empty)."""
+    rng = np.random.default_rng(seed)
+    x = random_unit(rng, n, 256).astype(np.float64)
+    if kind == "rounded":
+        return np.round(x * 4.0) / 4.0
+    if kind == "duplicated":
+        return x[rng.integers(0, 4, size=n)]
+    return x
+
+
+def _spy_workers(monkeypatch):
+    seen = []
+
+    def spy(fn, jobs, workers):
+        seen.append(workers)
+        return _accel.run_jobs(fn, jobs, workers)
+
+    monkeypatch.setattr(cluster, "run_jobs", spy)
+    return seen
+
+
+def _assert_elbow_matches_oracle(x, D, K_max, seed):
+    res = cluster.elbow_select(x, cluster.ClusterParams(D=D, K_max=K_max, seed=seed))
+    K, j_curve, ok, centers, assignment, history = elbow_oracle(x, D, K_max=K_max,
+                                                                seed=seed)
+    assert (res.K, res.j_curve, res.constraint_ok) == (K, j_curve, ok)
+    c = res.clustering
+    assert c.centers.tobytes() == centers.tobytes()
+    np.testing.assert_array_equal(c.assignment, assignment)
+    assert c.history == history
+    assert c.distortion == history[-1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", ["random", "rounded", "duplicated"])
+def test_elbow_serial_path_matches_sequential_oracle(monkeypatch, threads, kind):
+    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    seen = _spy_workers(monkeypatch)
+    x = _elbow_input(kind, 90, seed=21)
+    _assert_elbow_matches_oracle(x, D=0.6, K_max=12, seed=3)
+    assert seen == [1]  # 90 rows: below the pool threshold
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", ["random", "rounded", "duplicated"])
+def test_elbow_pooled_path_matches_sequential_oracle(monkeypatch, threads, kind):
+    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    seen = _spy_workers(monkeypatch)
+    # 1,030 rows x 256: above the pool threshold and three row blocks long
+    x = _elbow_input(kind, 1030, seed=22)
+    _assert_elbow_matches_oracle(x, D=0.6, K_max=5, seed=4)
+    assert seen == [min(int(threads), _accel.usable_cpus())]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_elbow_k_max_at_least_n_matches_oracle(monkeypatch, threads):
+    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    for kind in ("random", "duplicated"):
+        _assert_elbow_matches_oracle(_elbow_input(kind, 9, seed=23), D=0.05, K_max=25,
+                                     seed=5)
+
+
+def test_elbow_pool_threshold_and_affinity_cap(monkeypatch):
+    monkeypatch.setenv("SEQLPD_THREADS", "8")
+    monkeypatch.setattr(cluster, "usable_cpus", lambda: 2)
+    seen = _spy_workers(monkeypatch)
+    params = cluster.ClusterParams(D=10.0, K_max=2)
+    rng = np.random.default_rng(24)
+    cluster.elbow_select(rng.normal(size=(1023, 256)), params)
+    cluster.elbow_select(rng.normal(size=(1024, 256)), params)
+    assert seen == [1, 2]
+
+
+def test_run_jobs_keeps_job_order_and_uses_the_caller():
+    caller = threading.get_ident()
+    threads = set()
+    gate = threading.Barrier(2, timeout=10)
+
+    def job(i):
+        threads.add(threading.get_ident())
+        if i < 2:
+            gate.wait()  # the first two jobs run at the same time, on two threads
+        return i * i
+
+    assert _accel.run_jobs(job, range(20), 2) == [i * i for i in range(20)]
+    assert caller in threads and len(threads) == 2
+    assert _accel.run_jobs(job, [], 4) == []
+
+
+def test_run_jobs_runs_each_job_once_under_thread_churn():
+    lock = threading.Lock()
+    calls = [0] * 3000
+
+    def job(i):
+        with lock:
+            calls[i] += 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _accel.run_jobs(job, range(len(calls)), 8)  # more workers than cores
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [-i for i in range(len(calls))]
+    assert calls == [1] * len(calls)
+
+
+def test_run_jobs_reraises_and_stops_handing_out():
+    done = []
+
+    def job(i):
+        if i == 3:
+            raise ValueError("job 3")
+        done.append(i)
+        return i
+
+    with pytest.raises(ValueError, match="job 3"):
+        _accel.run_jobs(job, range(1000), 2)
+    assert len(done) < 999
 
 
 def test_super_keyframes_argmin_and_membership():
@@ -276,3 +406,18 @@ def test_lpdc_corrupt_fixtures(tmp_path):
     bad.write_bytes(blob + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         cluster.load_clusters(bad, pm)
+
+
+def test_lpdc_huge_k_is_format_error_before_allocating(tmp_path):
+    pm = _map_from(random_unit(np.random.default_rng(14), 4, 256))
+    bad = tmp_path / "bad.lpdc"
+    bad.write_bytes(b"LPDC" + (1).to_bytes(4, "little") + (0xFFFFFFFF).to_bytes(4, "little")
+                    + np.float32(0.5).tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="K=4294967295"):
+            cluster.load_clusters(bad, pm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing was sized by the header's K

@@ -143,6 +143,28 @@ def test_pairwise_l2_paths_agree_with_exact_zero():
     assert got[5, 20] == 0.0 and got[6, 21] == 0.0
 
 
+def test_blocked_distance_passes_match_unblocked_formula():
+    # three 512-row blocks and a one-row tail at d = 256
+    rng = np.random.default_rng(5)
+    ref = np.ascontiguousarray(rng.normal(size=(3 * kernels.row_block(256) + 1, 256)))
+    queries = np.vstack([rng.normal(size=(2, 256)), ref[[0, 1536]]])
+    got = kernels.pairwise_l2(queries, ref)
+    for a, q in enumerate(queries):
+        diff = ref - q
+        assert got[a].tobytes() == np.sqrt(np.einsum("nd,nd->n", diff, diff)).tobytes()
+    assert got[2, 0] == 0.0 and got[3, 1536] == 0.0
+    np.testing.assert_allclose(got[:, ::97], pairwise_l2_oracle(queries, ref[::97]),
+                               rtol=1e-12, atol=1e-14)
+    centers = ref[rng.choice(ref.shape[0], size=9, replace=False)]
+    assign, d2 = kernels.kmeans_assign(ref, centers)
+    diff = ref - centers[assign]
+    assert d2.tobytes() == np.einsum("nd,nd->n", diff, diff).tobytes()
+    a_ref, _ = kmeans_assign_oracle(ref[::7], centers)
+    np.testing.assert_array_equal(assign[::7], a_ref)
+    assign, d2 = kernels.kmeans_assign(np.empty((0, 256)), centers)
+    assert assign.shape == d2.shape == (0,)
+
+
 def test_trajectory_grid_paths_agree():
     rng = np.random.default_rng(5)
     m = np.ascontiguousarray(rng.random((12, 80)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqlpd import metrics, placemap
+from seqlpd import kernels, metrics, placemap
 from seqlpd.cloud import Pose
 from seqlpd.errors import EmptyDatabase, InvalidParams, RunLengthError
 
@@ -64,6 +64,33 @@ def test_recall_matches_oracle_randomized():
             qd, qp, descs, poses, 4.0, n)
         assert r.percentage == pytest.approx(want_pct, abs=1e-9)
         assert (r.evaluated, r.skipped) == (want_eval, want_skip)
+
+
+def test_recall_ties_go_to_the_lower_index():
+    rng = np.random.default_rng(4)
+    descs = random_unit(rng, 6, 64)
+    descs[4] = descs[1]  # the query's two nearest entries tie exactly
+    poses = np.zeros((6, 3))
+    poses[:, 0] = 10.0 * np.arange(6)
+    pm = placemap.PlaceMap()
+    for i in range(6):
+        pm.insert(placemap.PlaceEntry(i, Pose(*poses[i], i), descs[i]))
+    # only entry 4 is a positive: it loses the tie at N=1 and enters at N=2
+    for n, want in ((1, 0.0), (2, 100.0)):
+        r = metrics.recall_at_n(descs[1:2], poses[4:5], pm, gt_radius=1.0, n=n)
+        assert r.percentage == want
+        assert retrieval_oracle(descs[1:2], poses[4:5], descs, poses, 1.0, n)[0] == want
+
+
+def test_top_n_equals_stable_sort_on_ties():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        db = np.round(rng.normal(size=(int(rng.integers(5, 120)), 3)))
+        db = db[rng.integers(0, db.shape[0], size=db.shape[0])]  # repeated rows
+        q = np.round(rng.normal(size=(int(rng.integers(1, 12)), 3)))
+        n = int(rng.integers(1, db.shape[0] + 1))
+        want = np.argsort(kernels.pairwise_l2(q, db), axis=1, kind="stable")[:, :n]
+        np.testing.assert_array_equal(metrics._top_n(q, db, n), want)
 
 
 def test_recall_one_percent_n_rule():

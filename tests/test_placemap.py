@@ -3,7 +3,8 @@ import pytest
 
 from seqlpd import placemap
 from seqlpd.cloud import Pose
-from seqlpd.errors import DimensionError, FormatError, IoError, NormError, OrderError
+from seqlpd.errors import (DimensionError, FormatError, InvalidParams, IoError, NormError,
+                           OrderError)
 
 from oracles import random_unit
 
@@ -54,6 +55,28 @@ def test_insert_and_load_reject_non_finite_descriptor(tmp_path):
     blob = bytearray(path.read_bytes())
     # first descriptor value follows the 20-byte header and 32-byte entry head
     blob[52:56] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="non-finite"):
+        placemap.load(path)
+
+
+def test_insert_rejects_non_finite_pose():
+    for bad_value in (np.nan, np.inf, -np.inf):
+        for pose in (Pose(bad_value, 0.0, 0.0, 0), Pose(0.0, 0.0, bad_value, 0)):
+            pm = placemap.PlaceMap()
+            with pytest.raises(InvalidParams, match="non-finite"):
+                pm.insert(_entry(0, _unit(), pose))
+            assert len(pm) == 0
+
+
+def test_load_rejects_non_finite_pose(tmp_path):
+    pm = placemap.PlaceMap()
+    pm.insert(_entry(0, _unit()))
+    path = tmp_path / "map.lpdm"
+    placemap.save(pm, path)
+    blob = bytearray(path.read_bytes())
+    # the first pose's y follows the 20-byte header, the u64 frame id and x
+    blob[36:44] = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="non-finite"):
         placemap.load(path)
