@@ -32,7 +32,6 @@ from .placemap import PlaceMap
 
 _LPDC_MAGIC = b"LPDC"
 _LPDC_VERSION = 1
-_LPDC_DIM = 256
 # below this many matrix elements (about 1,024 rows at d = 256) a restart is
 # Python-bound, and threads would only contend for the GIL
 _POOL_MIN_SIZE = 1 << 18
@@ -128,7 +127,8 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     centers = _seed_centers(x, K, rng)
-    assign, d2 = kernels.kmeans_assign(x, centers)
+    sqx = np.einsum("nd,nd->n", x, x)
+    assign, d2 = kernels.kmeans_assign(x, centers, sqx)
     history = [float(d2.sum())]
 
     for _ in range(iters_max):
@@ -146,7 +146,7 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
                 j = int(np.argmax(pool))
                 new_centers[k] = x[j]
                 pool[j] = -1.0
-        new_assign, new_d2 = kernels.kmeans_assign(x, new_centers)
+        new_assign, new_d2 = kernels.kmeans_assign(x, new_centers, sqx)
         centers = new_centers
         history.append(float(new_d2.sum()))
         done = np.array_equal(new_assign, assign)
@@ -275,10 +275,9 @@ def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
 
     Layout (little-endian): magic "LPDC", u32 version=1, u32 K, f32 D; per
     cluster u32 keyframe entry index, u32 member count, member entry indices
-    as u32; then centers as K x 256 f32.  KD-trees are not stored.
+    as u32; then centers as K x dim f32, dim being the map's descriptor
+    dimension.  KD-trees are not stored.
     """
-    if skf.centers.shape[1] != _LPDC_DIM:
-        raise FormatError(f"LPDC stores {_LPDC_DIM}-d centers, got {skf.centers.shape[1]}")
     try:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sIIf", _LPDC_MAGIC, _LPDC_VERSION, skf.K, D))
@@ -295,7 +294,8 @@ def load_clusters(path, pmap: PlaceMap):
     """Read an LPDC file and rebuild SuperKeyframes against ``pmap``.
 
     Returns (skf, D).  Member indices must be in range, disjoint across
-    clusters, and contain their keyframe; anything else raises FormatError.
+    clusters, and contain their keyframe, and the centers must have the
+    map's dimension; anything else raises FormatError.
     """
     try:
         with open(path, "rb") as fh:
@@ -320,9 +320,10 @@ def load_clusters(path, pmap: PlaceMap):
         raise FormatError(f"{path}: unsupported version {version}")
     if kk < 1:
         raise FormatError(f"{path}: K must be >= 1")
+    dim = pmap.dim
     # checked before K sizes anything: a cluster takes at least its 8-byte
     # head, one member and its center
-    need = kk * (12 + 4 * _LPDC_DIM)
+    need = kk * (12 + 4 * dim)
     if need > len(blob) - off:
         raise FormatError(f"{path}: truncated: K={kk} needs at least {need} bytes "
                           f"after the header, {len(blob) - off} remain")
@@ -344,11 +345,13 @@ def load_clusters(path, pmap: PlaceMap):
         seen.update(mem.tolist())
         keyframes[k] = keyframe
         members.append(mem)
-    centers = np.frombuffer(take(4 * kk * _LPDC_DIM), dtype="<f4").reshape(kk, _LPDC_DIM)
+    rest = len(blob) - off
+    # whole centers of another width: clusters of a different map
+    if rest != 4 * kk * dim and rest % (4 * kk) == 0:
+        raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
+    centers = np.frombuffer(take(4 * kk * dim), dtype="<f4").reshape(kk, dim)
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
     desc = pmap.descriptor_matrix().astype(np.float64)
-    if desc.shape[1] != _LPDC_DIM:
-        raise FormatError(f"{path}: map dim {desc.shape[1]} != {_LPDC_DIM}")
     skf = SuperKeyframes(centers.astype(np.float64), keyframes, members, desc)
     return skf, float(d_thresh)

@@ -4,16 +4,22 @@ Every kernel is vectorized numpy and implements an exact contract:
 distances are computed with the direct squared-difference formula, and
 distance ties are always broken by the lower index.
 
-The point and descriptor KD-trees are ``scipy.spatial.cKDTree`` objects.
-The tree only proposes candidates; :func:`kdtree_knn` recomputes their
-distances exactly and ranks them itself, so the result matches an
-exhaustive scan bit for bit.
+Both kNN kernels follow one candidate rule.  A fast source proposes k + 8
+candidates per query: a ``scipy.spatial.cKDTree`` for :func:`kdtree_knn`,
+a BLAS product of approximate squared distances for :func:`feature_knn`.
+The source also gives a bound that every point it left out reaches: the
+tree's last candidate distance, or the smallest approximate value left
+out, each less its rounding.  :func:`_exact_knn` recomputes the
+candidates' distances exactly and ranks them by (distance, index); a row
+whose k-th exact distance reaches its bound may have an unseen point tied
+with it, and only such a row is answered by an exact scan of every point.
+The result matches an exhaustive scan bit for bit.
 """
 
 import numpy as np
 
-# extra candidates asked of the tree beyond k, so ties at the k-th
-# distance rarely reach the full-scan fallback
+# extra candidates beyond k, so ties at the k-th distance rarely reach
+# the full-scan fallback
 _KNN_SLACK = 8
 # relative gap between the k-th exact distance and the tree's last
 # candidate below which an unseen point could still tie (covers the
@@ -64,14 +70,41 @@ def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
+def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand: np.ndarray, bound,
+               k: int, own=None) -> np.ndarray:
+    """Exact k nearest ``pts`` rows per query from candidate columns ``cand``.
+
+    Ranks each row's candidates by (exact squared distance, index).  Every
+    point the candidate source left out lies at least ``bound`` away, so a
+    row whose k-th exact distance reaches its bound may have an unseen point
+    tied with or closer than its k-th neighbor; that row is answered by an
+    exact scan of every point instead.  ``own`` (one point index per query)
+    is excluded from that scan, as the candidate source excluded it.
+    """
+    diff = qs[:, None, :] - pts[cand]
+    d2 = np.einsum("bkd,bkd->bk", diff, diff)
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    out = np.take_along_axis(cand, order, axis=1)
+    kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+    bad = np.nonzero(kth >= bound)[0]
+    step = row_block(pts.size)
+    for s in range(0, bad.shape[0], step):
+        rows = bad[s:s + step]
+        diff = qs[rows, None, :] - pts[None, :, :]
+        full = np.einsum("bnd,bnd->bn", diff, diff)
+        if own is not None:
+            full[np.arange(rows.shape[0]), own[rows]] = np.inf
+        out[rows] = _topk_rows(full, k)
+    return out
+
+
 def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     """k nearest tree points per query row, ascending (distance, index).
 
     Saturates at the tree size.  The tree proposes k + 8 candidates per
-    query; their squared distances are recomputed exactly and ranked by
-    (distance, index).  A row whose last candidate is not clearly farther
-    than its k-th neighbor may have an unseen point tied with it, so that
-    row is answered by an exact scan of every point instead.
+    query; every point it left out is at least as far as its last one, so
+    the bound of the exact re-rank is that distance, narrowed by the tree's
+    rounding.
     """
     pts = tree.data
     qs = np.ascontiguousarray(queries, dtype=np.float64).reshape(-1, pts.shape[1])
@@ -83,58 +116,40 @@ def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     far, cand = tree.query(qs, k=m)
     far = far.reshape(-1, m)[:, -1]
     cand = cand.reshape(-1, m).astype(np.int64, copy=False)
-    diff = qs[:, None, :] - pts[cand]
-    d2 = np.einsum("bkd,bkd->bk", diff, diff)
-    order = np.lexsort((cand, d2), axis=1)[:, :kk]
-    out = np.take_along_axis(cand, order, axis=1)
-    if m == n:
-        return out
-    kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
-    bad = np.nonzero(kth >= far * far * (1.0 - _KNN_TIE_RTOL))[0]
-    block = max(1, int(8e6 / pts.size))
-    for s in range(0, bad.shape[0], block):
-        rows = bad[s:s + block]
-        diff = qs[rows, None, :] - pts[None, :, :]
-        out[rows] = _topk_rows(np.einsum("bnd,bnd->bn", diff, diff), kk)
-    return out
+    bound = np.inf if m == n else far * far * (1.0 - _KNN_TIE_RTOL)
+    return _exact_knn(qs, pts, cand, bound, kk)
 
 
 def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
     """k nearest rows per row in feature space, excluding the row itself.
 
     Saturates at n-1 neighbors; ties broken by lower index.  Returns an
-    (n, min(k, n-1)) index array.
+    (n, min(k, n-1)) index array.  A BLAS product gives approximate squared
+    distances; the k + 8 smallest of each row are the candidates, and the
+    smallest approximate value left out, less the product's rounding, bounds
+    the exact re-rank.  Rows run in blocks of ``_BLOCK_ELEMS // n``.
     """
-    x = np.asarray(feats, dtype=np.float64)
-    n, f = x.shape
+    x = np.ascontiguousarray(feats, dtype=np.float64)
+    n = x.shape[0]
     kk = min(k, n - 1)
     out = np.empty((n, kk), dtype=np.int64)
     if kk == 0:
         return out
     sq = np.einsum("nf,nf->n", x, x)
-    npre = min(kk + 8, n - 1)
+    npre = min(kk + _KNN_SLACK, n - 1)
+    # bounds the BLAS rounding of any approximate value, with a wide margin
     slack = 1e-9 * (1.0 + 2.0 * float(sq.max(initial=0.0)))
-    block = max(1, int(4e6 / max(1, n)))
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        # BLAS preselection: fast but only approximately ordered near ties
-        g = x[s:e] @ x.T
-        approx = sq[s:e, None] + sq[None, :] - 2.0 * g
-        approx[np.arange(e - s), np.arange(s, e)] = np.inf
-        part = np.argpartition(approx, npre - 1, axis=1)[:, :npre]
-        cand = x[part] - x[s:e, None, :]
-        exact = np.einsum("bkf,bkf->bk", cand, cand)
-        order = np.lexsort((part, exact), axis=1)[:, :kk]
-        sel = np.take_along_axis(part, order, axis=1)
-        # near-ties at the preselection boundary: redo those rows exactly
-        thresh = np.take_along_axis(approx, part, axis=1).max(axis=1)
-        bad = np.nonzero((approx <= (thresh + slack)[:, None]).sum(axis=1) > npre)[0]
-        for r in bad:
-            diff = x - x[s + r]
-            full = np.einsum("nf,nf->n", diff, diff)
-            full[s + r] = np.inf
-            sel[r] = np.argsort(full, kind="stable")[:kk]
-        out[s:e] = sel
+    step = max(1, _BLOCK_ELEMS // n)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        own = np.arange(s, e)
+        approx = sq[s:e, None] + sq[None, :] - 2.0 * (x[s:e] @ x.T)
+        approx[own - s, own] = np.inf
+        # column npre holds the smallest value left out (the row's own inf
+        # when every other row is a candidate)
+        part = np.argpartition(approx, npre, axis=1)
+        unseen = np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0]
+        out[s:e] = _exact_knn(x[s:e], x, part[:, :npre], unseen - slack, kk, own)
     return out
 
 
@@ -161,11 +176,16 @@ def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.stack([dz_max, z_var, lam1 + lam2, l2d], axis=1)
 
 
-def kmeans_assign(x: np.ndarray, centers: np.ndarray):
-    """Nearest-center assignment (ties to the lower cluster id) and exact squared distances."""
+def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
+    """Nearest-center assignment (ties to the lower cluster id) and exact squared distances.
+
+    ``sqx`` is ``einsum("nd,nd->n", x, x)`` of the float64 ``x``, for callers
+    that assign the same rows many times; it is computed when omitted.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    sqx = np.einsum("nd,nd->n", x, x)
+    if sqx is None:
+        sqx = np.einsum("nd,nd->n", x, x)
     sqc = np.einsum("kd,kd->k", centers, centers)
     d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
     assign = np.argmin(d2, axis=1)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqlpd import cli, placemap
+from seqlpd import cli, net, placemap
 
 DESCRIBE_FLAGS = ["--baseline", "--n-sub", "128", "--k-local", "8"]
 
@@ -126,6 +126,36 @@ def test_match_diffmat_exports(corpus, tmp_path, capsys):
     m = np.loadtxt(tmp_path / "d.csv", delimiter=",")
     assert m.shape == (40, 40)
     assert np.abs(np.diag(m)).max() < 1e-6  # sigma 0: exact revisits
+
+
+def test_128d_descriptors_cluster_and_match(corpus, tmp_path, capsys):
+    """The LPDC centers take the map's descriptor width."""
+    weights = tmp_path / "w128.lpdw"
+    net.save_weights(net.random_weights(net.NetConfig(descriptor_dim=128), seed=0), weights)
+    flags = ["--weights", str(weights), "--descriptor-dim", "128",
+             "--n-sub", "128", "--k-local", "8"]
+    mpath, cpath = tmp_path / "m.lpdm", tmp_path / "m.lpdc"
+    assert cli.main(["describe", str(corpus / "c" / "map"), "-o", str(mpath)] + flags) == 0
+    assert placemap.load(mpath).dim == 128
+    capsys.readouterr()
+    code, out, err = _run(["cluster", str(mpath), "-o", str(cpath), "--D", "2.0"], capsys)
+    assert code == 0 and err == "" and out.startswith("K=")
+    code, out, err = _run(["match", str(mpath), str(cpath), str(corpus / "c" / "query"),
+                           "--W", "5"] + flags, capsys)
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 36
+    for line in lines:  # sigma 0: an accepted window points at the exact revisit
+        m = re.fullmatch(r"frame=(\d+) ref=(\d+|none) .* accepted=(true|false) cluster=\d+",
+                         line)
+        assert m is not None and (m.group(3) == "false" or m.group(1) == m.group(2))
+    assert out.count("accepted=true") >= 30
+    # 256-d clusters against the 128-d map: one error line, nothing on stdout
+    code, out, err = _run(["match", str(mpath), str(corpus / "map.lpdc"),
+                           str(corpus / "c" / "query"), "--W", "5"] + flags, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("E:FormatError:")
+    assert "256-d centers, map dim 128" in err
 
 
 def test_eval_reports_metrics(corpus, capsys):

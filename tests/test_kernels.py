@@ -1,11 +1,13 @@
 """Each kernel must agree with the loop formulation of its contract in
-``tests/oracles.py``, and the kNN kernel's two paths (KD-tree candidates
-with an exact re-rank, and the exact full scan it falls back to on ties)
-must agree with each other bit for bit.
+``tests/oracles.py``, and the kNN kernels' two paths (candidates with an
+exact re-rank, and the exact full scan they fall back to on ties) must
+agree with each other bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (feature_knn_oracle, kmeans_assign_oracle, knn_oracle,
                      local_feature_oracle, pairwise_l2_oracle, trajectory_grid_oracle)
@@ -17,18 +19,23 @@ def _offsets(w):
     return np.floor(vs[:, None] * np.arange(w)[None, :] + 0.5).astype(np.int64)
 
 
-def _knn_and_scans(monkeypatch, pts, queries, k, force=False):
-    """kdtree_knn's result and the number of rows it answered by the exact
-    full scan; ``force`` sends every row there."""
+def _scans(monkeypatch, fn):
+    """fn()'s result and the number of rows answered by the exact full scan."""
     rows = []
     topk = kernels._topk_rows
     monkeypatch.setattr(kernels, "_topk_rows",
                         lambda d2, kk: rows.append(d2.shape[0]) or topk(d2, kk))
-    if force:
-        monkeypatch.setattr(kernels, "_KNN_TIE_RTOL", 2.0)  # every row "may tie"
-    out = kernels.kdtree_knn(kernels.kdtree_build(pts), queries, k)
+    out = fn()
     monkeypatch.undo()
     return out, sum(rows)
+
+
+def _knn_and_scans(monkeypatch, pts, queries, k, force=False):
+    """kdtree_knn's result and its full-scan row count; ``force`` sends
+    every row to the scan."""
+    if force:
+        monkeypatch.setattr(kernels, "_KNN_TIE_RTOL", 2.0)  # every row "may tie"
+    return _scans(monkeypatch, lambda: kernels.kdtree_knn(kernels.kdtree_build(pts), queries, k))
 
 
 def test_kdtree_paths_agree_and_match_oracle(monkeypatch):
@@ -113,6 +120,87 @@ def test_feature_knn_paths_agree():
     # duplicated rows pick each other first, lower index winning the tie
     assert got[100, 0] == 3 and got[100, 1] == 101
     assert got[101, 0] == 3 and got[101, 1] == 100
+
+
+def _upsampled_features(n_points, n_sub, seed):
+    """An undersized cloud filled by normalize_submap, mapped to 64-d float32
+    features: every duplicated point gives a group of identical rows."""
+    rng = np.random.default_rng(seed)
+    sub = cloud.normalize_submap(cloud.PointCloud(rng.normal(size=(n_points, 3))),
+                                 n_sub=n_sub, seed=seed)
+    w = rng.normal(size=(3, 64))
+    return np.tanh(sub.points @ w).astype(np.float32)
+
+
+def test_feature_knn_duplicate_groups_scan_only_true_ties(monkeypatch):
+    for n_points, n_sub, tied in ((64, 256, 0), (150, 600, 0), (256, 1024, 4)):
+        feats = _upsampled_features(n_points, n_sub, n_points)
+        got, scans = _scans(monkeypatch, lambda: kernels.feature_knn(feats, 20))
+        np.testing.assert_array_equal(got, feature_knn_oracle(feats, 20))
+        x = feats.astype(np.float64)
+        d2 = np.stack([((x - row) ** 2).sum(axis=1) for row in x])
+        np.fill_diagonal(d2, np.inf)
+        ranked = np.sort(d2, axis=1)
+        # most rows have a copy group straddling the 28-candidate boundary,
+        # but only a row whose 20th and 29th neighbors tie (one group of 11
+        # copies at n = 1024) can have an unseen row tied with its 20th
+        assert (ranked[:, 27] == ranked[:, 28]).mean() > 0.7
+        assert scans == (ranked[:, 19] == ranked[:, 28]).sum() == tied
+
+
+def test_feature_knn_tie_group_at_kth_rank_is_scanned(monkeypatch):
+    axis = np.arange(7, dtype=np.float64)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid[np.random.default_rng(6).permutation(grid.shape[0])]
+    feats = np.hstack([grid, np.zeros((grid.shape[0], 2))])
+    # an inner point's 8th neighbor opens the 12-point shell at sqrt(2),
+    # which runs past its 16 candidates
+    got, scans = _scans(monkeypatch, lambda: kernels.feature_knn(feats, 8))
+    assert scans > 0
+    np.testing.assert_array_equal(got, feature_knn_oracle(feats, 8))
+    dup = np.repeat(feats[:6], 15, axis=0)  # 14 copies tie past the 12 candidates
+    got, scans = _scans(monkeypatch, lambda: kernels.feature_knn(dup, 4))
+    assert scans > 0
+    np.testing.assert_array_equal(got, feature_knn_oracle(dup, 4))
+
+
+def test_feature_knn_boundaries(monkeypatch):
+    rng = np.random.default_rng(7)
+    pair = rng.normal(size=(2, 4))
+    for k in (1, 5):
+        np.testing.assert_array_equal(kernels.feature_knn(pair, k), [[1], [0]])
+    feats = rng.normal(size=(10, 4))
+    # k + 8 >= n - 1: every other row is a candidate, and the partition index
+    # is the last column, the row's own inf
+    for k in (1, 3, 9, 50):
+        got, scans = _scans(monkeypatch, lambda: kernels.feature_knn(feats, k))
+        assert scans == 0 and got.shape == (10, min(k, 9))
+        np.testing.assert_array_equal(got, feature_knn_oracle(feats, k))
+    half = np.round(rng.normal(size=(80, 6)), 1).astype(np.float32)
+    half[40:] = half[:40]
+    np.testing.assert_array_equal(kernels.feature_knn(half, 12), feature_knn_oracle(half, 12))
+    assert kernels.feature_knn(rng.normal(size=(1, 4)), 5).shape == (1, 0)
+
+
+@st.composite
+def _tie_heavy(draw):
+    """Small integer-valued matrices drawn from a few distinct rows, and a k."""
+    f = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(st.integers(-3, 3), min_size=f, max_size=f),
+                         min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=40))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    x = np.array(base, dtype=dtype)[picks]
+    return x, draw(st.integers(1, len(picks) + 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_tie_heavy())
+def test_exact_knn_kernels_match_oracles(case):
+    x, k = case
+    np.testing.assert_array_equal(kernels.feature_knn(x, k), feature_knn_oracle(x, k))
+    np.testing.assert_array_equal(kernels.kdtree_knn(kernels.kdtree_build(x), x, k),
+                                  knn_oracle(x, x, k))
 
 
 def test_local_stats_paths_agree():
