@@ -1,16 +1,14 @@
-"""Worker-pool sizing and the shared-list job runner.
+"""The package's one worker pool: its sizing and the shared-list job runner.
 
-``SEQLPD_THREADS`` caps the worker pools: the batch descriptor extraction
-and the restarts of the elbow clustering.  Clustering further caps its pool
-at the CPUs the process may run on and stays serial for small maps, whose
-jobs are too short to gain from threads.  Neither pool changes numeric
-results: work is split only across independent jobs (submaps, seeded
-restarts) and gathered in job order.
+``SEQLPD_THREADS`` sizes the pool that runs the frames of ``describe`` and
+the seeded restarts of the elbow clustering; clustering further caps it at
+the usable CPUs and stays serial for small maps, whose jobs are too short to
+gain from threads.  No worker count changes a result or the error raised.
+No other module of the package starts a thread.
 """
 
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -40,7 +38,9 @@ def run_jobs(fn, jobs, workers: int) -> list:
     The calling thread takes jobs from the shared list alongside
     ``workers - 1`` pool threads rather than waiting on them, so one thread
     fewer holds a malloc arena.  Results come back in job order whatever
-    the scheduling; the first exception stops the hand-out and is re-raised.
+    the scheduling.  A failure stops the hand-out and the jobs already out
+    finish; jobs go out in index order, so the lowest-index failure is the
+    one a serial loop would raise, and its exception is re-raised.
     """
     jobs = list(jobs)
     workers = min(workers, len(jobs))
@@ -48,22 +48,23 @@ def run_jobs(fn, jobs, workers: int) -> list:
         return [fn(job) for job in jobs]
     results = [None] * len(jobs)
     tickets = itertools.count()  # next() on it is atomic under the GIL
-    failed = threading.Event()
+    errors = {}  # job index -> exception
 
     def drain():
-        while not failed.is_set():
+        while not errors:
             i = next(tickets)
             if i >= len(jobs):
                 return
             try:
                 results[i] = fn(jobs[i])
-            except BaseException:
-                failed.set()
-                raise
+            except BaseException as exc:  # re-raised below, once every thread has stopped
+                errors[i] = exc
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
         for h in helpers:
             h.result()
+    if errors:
+        raise errors[min(errors)]
     return results

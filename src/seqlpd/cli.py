@@ -6,17 +6,17 @@ fixed seed: rerunning produces byte-identical output files.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import cluster as cluster_mod
 from . import config as config_mod
-from . import metrics, net, placemap, seqmatch, synth
-from ._accel import thread_count
+from . import fileio, metrics, net, placemap, seqmatch, synth
+from ._accel import run_jobs, thread_count
 from .cloud import Pose, accumulate_submap, load_csv, load_kitti_bin, normalize_submap
 from .errors import (EmptyInput, FormatError, InsufficientHistory, InvalidParams,
                      IoError, SeqLPDError)
@@ -54,22 +54,21 @@ def _load_poses(input_dir):
     if not os.path.exists(path):
         return None
     poses = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or (ln == 1 and text.lower().startswith("frame_id")):
-                continue
-            parts = text.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{ln}: expected frame_id,x,y,z")
-            try:
-                fid = int(parts[0])
-                x, y, z = (float(p) for p in parts[1:])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: malformed row") from None
-            if not np.isfinite((x, y, z)).all():
-                raise FormatError(f"{path}:{ln}: non-finite pose")
-            poses[fid] = Pose(x, y, z, fid)
+    for ln, line in enumerate(fileio.read_lines(path), start=1):
+        text = line.strip()
+        if not text or (ln == 1 and text.lower().startswith("frame_id")):
+            continue
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{ln}: expected frame_id,x,y,z")
+        try:
+            fid = int(parts[0])
+            x, y, z = (float(p) for p in parts[1:])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: malformed row") from None
+        if not np.isfinite((x, y, z)).all():
+            raise FormatError(f"{path}:{ln}: non-finite pose")
+        poses[fid] = Pose(x, y, z, fid)
     return poses
 
 
@@ -82,9 +81,9 @@ def _describe_dir(input_dir, cfg: config_mod.Config, ws):
     """Load, accumulate, normalize and describe every frame of a directory.
 
     Returns (frame_ids, poses, descriptors, stats) where stats holds
-    (point_count, seconds) per frame.  Frames run in a thread pool capped by
-    SEQLPD_THREADS; each frame is an independent job, so any worker count
-    yields identical descriptors.
+    (point_count, seconds) per frame.  Frames are jobs of ``run_jobs``, capped
+    by SEQLPD_THREADS; each frame is independent, so any worker count yields
+    identical descriptors.
     """
     names = _list_frames(input_dir)
     pose_table = _load_poses(input_dir)
@@ -93,7 +92,7 @@ def _describe_dir(input_dir, cfg: config_mod.Config, ws):
     for i, name in enumerate(names):
         path = os.path.join(input_dir, name)
         stem = name.rsplit(".", 1)[0]
-        fid = int(stem) if stem.isdigit() else i
+        fid = int(stem) if stem.isdecimal() else i
         pc = load_kitti_bin(path, fid) if name.endswith(".bin") else load_csv(path, fid)
         clouds.append(pc)
         ids.append(fid)
@@ -121,26 +120,19 @@ def _describe_dir(input_dir, cfg: config_mod.Config, ws):
             desc = net.describe(sub, lf, ws, netcfg)
         return desc, (len(pc), time.perf_counter() - t0)
 
-    workers = min(thread_count(), max(1, len(clouds)))
-    if workers == 1:
-        results = [job(i) for i in range(len(clouds))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(len(clouds))))
+    results = run_jobs(job, range(len(clouds)), thread_count())
     descs = [r[0] for r in results]
     stats = [r[1] for r in results]
     return ids, poses, descs, stats
 
 
 def _build_config(args) -> config_mod.Config:
+    """Defaults, then the --config file, then every given flag named after a config key."""
     cfg = config_mod.Config()
     if getattr(args, "config", None):
         cfg = config_mod.load(args.config, cfg)
-    overrides = {}
-    for flag, key in getattr(args, "_cfg_flags", ()):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+                 if getattr(args, f.name, None) is not None}
     return config_mod.apply(cfg, overrides).validate()
 
 
@@ -261,12 +253,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_describe_flags(p, with_weights=True):
-    if with_weights:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--weights", help="LPDW weight file")
-        group.add_argument("--baseline", action="store_true",
-                           help="use the weight-free histogram descriptor")
+def _add_describe_flags(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--weights", help="LPDW weight file")
+    group.add_argument("--baseline", action="store_true",
+                       help="use the weight-free histogram descriptor")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--n-sub", type=int, default=None, dest="n_sub")
     p.add_argument("--k-local", type=int, default=None, dest="k_local")
@@ -274,9 +265,6 @@ def _add_describe_flags(p, with_weights=True):
     p.add_argument("--vlad-clusters", type=int, default=None, dest="vlad_clusters")
     p.add_argument("--descriptor-dim", type=int, default=None, dest="descriptor_dim")
     p.add_argument("--seed", type=int, default=None)
-    return [("n_sub", "n_sub"), ("k_local", "k_local"), ("k_graph", "k_graph"),
-            ("vlad_clusters", "vlad_clusters"), ("descriptor_dim", "descriptor_dim"),
-            ("seed", "seed")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe", help="turn a frame directory into an LPDM map")
     p.add_argument("input", help="directory of .bin/.csv frames (optional poses.csv)")
     p.add_argument("-o", "--out", required=True, help="output LPDM path")
-    flags = _add_describe_flags(p)
-    p.set_defaults(func=cmd_describe, _cfg_flags=flags)
+    _add_describe_flags(p)
+    p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("cluster", help="cluster an LPDM map into an LPDC file")
     p.add_argument("map", help="LPDM map path")
@@ -300,14 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distance ceiling (required here or in the config)")
     p.add_argument("--k-max", type=int, default=None, dest="K_max")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_cluster,
-                   _cfg_flags=[("D", "D"), ("K_max", "K_max"), ("seed", "seed")])
+    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("match", help="loop detection of query frames against a map")
     p.add_argument("map", help="LPDM map path")
     p.add_argument("clusters", help="LPDC clusters path")
     p.add_argument("query", help="directory of query frames")
-    flags = _add_describe_flags(p)
+    _add_describe_flags(p)
     p.add_argument("--W", type=int, default=None, dest="W")
     p.add_argument("--v-min", type=float, default=None, dest="v_min")
     p.add_argument("--v-max", type=float, default=None, dest="v_max")
@@ -317,20 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search reversed reference runs")
     p.add_argument("--diffmat", help="export the query x map difference matrix "
                                      "(.pgm or .csv)")
-    flags += [("W", "W"), ("v_min", "v_min"), ("v_max", "v_max"),
-              ("v_step", "v_step"), ("accept_ratio", "accept_ratio"),
-              ("mirror", "mirror")]
-    p.set_defaults(func=cmd_match, _cfg_flags=flags)
+    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("eval", help="retrieval metrics of query frames against a map")
     p.add_argument("map", help="LPDM map path")
     p.add_argument("query", help="directory of query frames with poses.csv")
-    flags = _add_describe_flags(p)
+    _add_describe_flags(p)
     p.add_argument("--gt-radius", type=float, default=None, dest="gt_radius")
     p.add_argument("--n", default="1", help="comma-separated N list for Recall@N")
     p.add_argument("--min-successes", type=int, default=None, dest="min_successes")
-    flags += [("gt_radius", "gt_radius"), ("min_successes", "min_successes")]
-    p.set_defaults(func=cmd_eval, _cfg_flags=flags)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("out", help="output directory")
@@ -339,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--places", type=int, default=60)
     p.add_argument("--points", type=int, default=1024)
-    p.set_defaults(func=cmd_synth, _cfg_flags=[])
+    p.set_defaults(func=cmd_synth)
 
     return parser
 

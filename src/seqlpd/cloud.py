@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .errors import (EmptyIndex, EmptyInput, FormatError, InvalidParams, IoError,
-                     LengthMismatch)
+from . import fileio, kernels
+from .errors import EmptyIndex, EmptyInput, FormatError, InvalidParams, LengthMismatch
 
 DEFAULT_SUBMAP_SIZE = 4096
 DEFAULT_TRAJECTORY_LEN = 20.0
@@ -59,13 +58,10 @@ class Submap:
 
 def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
     """Read packed little-endian float32 (x, y, z, intensity) records; intensity is dropped."""
-    try:
-        raw = np.fromfile(path, dtype="<f4")
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
-    if raw.size % 4 != 0:
-        raise FormatError(f"{path}: length {raw.size * 4} bytes is not a multiple of 16")
-    pts = raw.reshape(-1, 4)[:, :3].astype(np.float64)
+    raw = fileio.read_bytes(path)
+    if len(raw) % 16 != 0:
+        raise FormatError(f"{path}: length {len(raw)} bytes is not a multiple of 16")
+    pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
     if not np.isfinite(pts).all():
         raise FormatError(f"{path}: non-finite coordinate")
     return PointCloud(pts, frame_id=frame_id)
@@ -73,13 +69,8 @@ def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
 
 def load_csv(path, frame_id: int = 0) -> PointCloud:
     """Read "x,y,z" lines; a non-numeric first field on line 1 is treated as a header."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
     rows = []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(fileio.read_lines(path), start=1):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]

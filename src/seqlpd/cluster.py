@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import fileio, kernels
 from ._accel import run_jobs, thread_count, usable_cpus
 from .errors import (EmptyInput, FormatError, InvalidCluster, InvalidK, InvalidParams,
-                     IoError, ShapeError)
+                     ShapeError)
 from .placemap import PlaceMap
 
 _LPDC_MAGIC = b"LPDC"
@@ -278,16 +278,13 @@ def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
     as u32; then centers as K x dim f32, dim being the map's descriptor
     dimension.  KD-trees are not stored.
     """
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIIf", _LPDC_MAGIC, _LPDC_VERSION, skf.K, D))
-            for k in range(skf.K):
-                mem = skf.members[k]
-                fh.write(struct.pack("<II", int(skf.keyframes[k]), mem.shape[0]))
-                fh.write(np.ascontiguousarray(mem, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(skf.centers, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
+    with fileio.writing(path) as fh:
+        fh.write(struct.pack("<4sIIf", _LPDC_MAGIC, _LPDC_VERSION, skf.K, D))
+        for k in range(skf.K):
+            mem = skf.members[k]
+            fh.write(struct.pack("<II", int(skf.keyframes[k]), mem.shape[0]))
+            fh.write(np.ascontiguousarray(mem, dtype="<u4").tobytes())
+        fh.write(np.ascontiguousarray(skf.centers, dtype="<f4").tobytes())
 
 
 def load_clusters(path, pmap: PlaceMap):
@@ -297,44 +294,25 @@ def load_clusters(path, pmap: PlaceMap):
     clusters, and contain their keyframe, and the centers must have the
     map's dimension; anything else raises FormatError.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
-
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"{path}: truncated at byte {off}")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    magic, version, kk, d_thresh = struct.unpack("<4sIIf", take(16))
-    if magic != _LPDC_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _LPDC_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = fileio.Reader(path, _LPDC_MAGIC, _LPDC_VERSION)
+    kk, d_thresh = r.unpack("<If")
     if kk < 1:
         raise FormatError(f"{path}: K must be >= 1")
     dim = pmap.dim
     # checked before K sizes anything: a cluster takes at least its 8-byte
     # head, one member and its center
     need = kk * (12 + 4 * dim)
-    if need > len(blob) - off:
+    if need > r.remaining():
         raise FormatError(f"{path}: truncated: K={kk} needs at least {need} bytes "
-                          f"after the header, {len(blob) - off} remain")
+                          f"after the header, {r.remaining()} remain")
     keyframes = np.empty(kk, dtype=np.int64)
     members = []
     seen = set()
     for k in range(kk):
-        keyframe, count = struct.unpack("<II", take(8))
+        keyframe, count = r.unpack("<II")
         if count == 0:
             raise FormatError(f"{path}: cluster {k} is empty")
-        mem = np.frombuffer(take(4 * count), dtype="<u4").astype(np.int64)
+        mem = r.array("<u4", count).astype(np.int64)
         if mem.max() >= len(pmap):
             raise FormatError(f"{path}: member index {mem.max()} outside map of {len(pmap)}")
         if keyframe not in mem:
@@ -345,13 +323,12 @@ def load_clusters(path, pmap: PlaceMap):
         seen.update(mem.tolist())
         keyframes[k] = keyframe
         members.append(mem)
-    rest = len(blob) - off
+    rest = r.remaining()
     # whole centers of another width: clusters of a different map
     if rest != 4 * kk * dim and rest % (4 * kk) == 0:
         raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
-    centers = np.frombuffer(take(4 * kk * dim), dtype="<f4").reshape(kk, dim)
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    centers = r.array("<f4", kk * dim).reshape(kk, dim)
+    r.end()
     desc = pmap.descriptor_matrix().astype(np.float64)
     skf = SuperKeyframes(centers.astype(np.float64), keyframes, members, desc)
     return skf, float(d_thresh)

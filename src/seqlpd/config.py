@@ -7,9 +7,15 @@ have no sensible defaults and stay None until provided.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
-from .errors import FormatError, InvalidParams, IoError
+import numpy as np
+
+from . import fileio
+from .errors import FormatError, InvalidParams
+
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -19,10 +25,6 @@ class Config:
     n_sub: int = 4096
     descriptor_dim: int = 256
     vlad_clusters: int = 64
-    alpha: float = 0.5
-    beta: float = 0.2
-    p_pos: int = 2
-    p_neg: int = 18
     W: int = 10
     v_min: float = 0.8
     v_max: float = 1.2
@@ -46,10 +48,6 @@ class Config:
             raise InvalidParams("descriptor_dim must be >= 1")
         if self.vlad_clusters < 1:
             raise InvalidParams("vlad_clusters must be >= 1")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise InvalidParams("margins must be > 0")
-        if self.p_pos < 1 or self.p_neg < 1:
-            raise InvalidParams("P_pos and P_neg must be >= 1")
         if self.W < 1:
             raise InvalidParams("W must be >= 1")
         if not 0.0 < self.v_min <= self.v_max:
@@ -58,23 +56,21 @@ class Config:
             raise InvalidParams("v_step must be > 0")
         if not 0.0 < self.accept_ratio < 1.0:
             raise InvalidParams("accept_ratio must be in (0, 1)")
-        if self.D is not None and self.D <= 0.0:
-            raise InvalidParams("D must be > 0")
+        # D is stored as float32 in the LPDC file
+        if self.D is not None and not 0.0 < self.D <= _F32_MAX:
+            raise InvalidParams(f"D must be in (0, {_F32_MAX:.7g}]")
         if self.K_max < 1:
             raise InvalidParams("K_max must be >= 1")
-        if self.gt_radius is not None and self.gt_radius <= 0.0:
-            raise InvalidParams("gt_radius must be > 0")
+        if self.gt_radius is not None and not 0.0 < self.gt_radius < math.inf:
+            raise InvalidParams("gt_radius must be finite and > 0")
         if not 1 <= self.min_successes <= 5:
             raise InvalidParams("min_successes must be in [1, 5]")
+        if self.seed < 0:
+            raise InvalidParams("seed must be >= 0")
         return self
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(Config)}
-_TYPES = {"k_local": int, "k_graph": int, "n_sub": int, "descriptor_dim": int,
-          "vlad_clusters": int, "alpha": float, "beta": float, "p_pos": int,
-          "p_neg": int, "W": int, "v_min": float, "v_max": float, "v_step": float,
-          "accept_ratio": float, "D": float, "K_max": int, "gt_radius": float,
-          "seed": int, "min_successes": int, "mirror": bool}
+_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
 def _parse_value(key: str, raw: str):
@@ -97,7 +93,7 @@ def apply(config: Config, overrides: dict) -> Config:
     """New Config with the given key -> value overrides (strings are parsed)."""
     parsed = {}
     for key, value in overrides.items():
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise InvalidParams(f"unknown config key '{key}'")
         parsed[key] = _parse_value(key, value) if isinstance(value, str) else value
     return dataclasses.replace(config, **parsed)
@@ -105,13 +101,8 @@ def apply(config: Config, overrides: dict) -> Config:
 
 def parse_file(path) -> dict:
     """Read a ``key = value`` file; '#' lines and blanks are skipped."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
     out = {}
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(fileio.read_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

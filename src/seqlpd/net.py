@@ -14,17 +14,17 @@ a seeded random initializer, and a weight-free histogram baseline covers
 pipeline tests.  Descriptors are plain float32 numpy vectors.
 """
 
+import math
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import thread_count
-from . import kernels
+from . import fileio, kernels
+from ._accel import run_jobs, thread_count
 from .cloud import Submap
-from .errors import EmptyInput, FormatError, InvalidParams, IoError, NormError, ShapeError
+from .errors import EmptyInput, FormatError, InvalidParams, NormError, ShapeError
 from .features import FEATURE_DIM
 
 DESCRIPTOR_DIM = 256
@@ -95,7 +95,7 @@ class WeightSet:
     """Named float32 tensors; immutable once constructed and safe to share."""
 
     def __init__(self, tensors: dict):
-        self._tensors = {name: np.ascontiguousarray(t, dtype=np.float32)
+        self._tensors = {name: np.asarray(t, dtype=np.float32, order="C")
                          for name, t in tensors.items()}
         self._f64 = {}
         self._f64_lock = threading.Lock()
@@ -143,58 +143,32 @@ class WeightSet:
 
 def save_weights(ws: WeightSet, path) -> None:
     """Write the LPDW container (magic, version, count, then name/rank/dims/float32 payload)."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sII", _LPDW_MAGIC, _LPDW_VERSION, len(ws.names())))
-            for name, tensor in ws.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", tensor.ndim))
-                fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-                fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
+    with fileio.writing(path) as fh:
+        fh.write(struct.pack("<4sII", _LPDW_MAGIC, _LPDW_VERSION, len(ws.names())))
+        for name, tensor in ws.items():
+            raw = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(raw)}sB{tensor.ndim}I", len(raw), raw,
+                                 tensor.ndim, *tensor.shape))
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
 def load_weights(path, config: NetConfig = None) -> WeightSet:
     """Read an LPDW file; validates shapes against ``config`` when given."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
-
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"{path}: truncated at byte {off}")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    magic, version, count = struct.unpack("<4sII", take(12))
-    if magic != _LPDW_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _LPDW_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = fileio.Reader(path, _LPDW_MAGIC, _LPDW_VERSION)
+    (count,) = r.unpack("<I")
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        (name_len,) = r.unpack("<H")
+        name = r.text(name_len)
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor '{name}'")
-        (rank,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        payload = take(4 * n_items)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+        (rank,) = r.unpack("<B")
+        dims = r.unpack(f"<{rank}I")
+        try:
+            tensors[name] = r.array("<f4", math.prod(dims)).reshape(dims)
+        except ValueError:  # an empty tensor whose other dims numpy cannot hold
+            raise FormatError(f"{path}: tensor '{name}' has unsupported shape {dims}") from None
+    r.end()
     ws = WeightSet(tensors)
     if config is not None:
         ws.validate(config)
@@ -372,16 +346,11 @@ def describe_many(items, ws: WeightSet = None, config: NetConfig = NetConfig()) 
     Work splits across whole submaps only, so results are identical for any
     worker count.  ``ws=None`` selects the weight-free baseline.
     """
-    items = list(items)
     if ws is None:
         fn = lambda pair: baseline_descriptor(pair[0], pair[1])
     else:
         fn = lambda pair: describe(pair[0], pair[1], ws, config)
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(pair) for pair in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return run_jobs(fn, items, thread_count())
 
 
 def lazy_quadruplet_loss(d_anchor, positives, negatives, neg_star,

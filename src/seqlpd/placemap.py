@@ -7,13 +7,13 @@ The on-disk form is the LPDM container described in ``save``.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .cloud import Pose
-from .errors import (DimensionError, FormatError, InvalidParams, IoError, NormError,
-                     OrderError)
+from .errors import DimensionError, FormatError, InvalidParams, NormError, OrderError
 
 _LPDM_MAGIC = b"LPDM"
 _LPDM_VERSION = 1
@@ -52,8 +52,8 @@ class PlaceMap:
     def insert(self, entry: PlaceEntry) -> "PlaceMap":
         """Append an entry; frame ids must strictly increase, the pose must be
         finite and the descriptor finite and unit-norm."""
-        if entry.frame_id < 0:
-            raise OrderError(f"negative frame id {entry.frame_id}")
+        if not 0 <= entry.frame_id < 2 ** 63:
+            raise OrderError(f"frame id {entry.frame_id} outside [0, 2^63)")
         if self.entries and entry.frame_id <= self.entries[-1].frame_id:
             raise OrderError(f"frame id {entry.frame_id} not greater than "
                              f"{self.entries[-1].frame_id}")
@@ -72,10 +72,11 @@ class PlaceMap:
         return self
 
     def descriptor_matrix(self) -> np.ndarray:
-        """All descriptors stacked as an (n, dim) float32 matrix."""
+        """All descriptors stacked as a new (n, dim) float32 matrix (``insert``
+        stores float32, so no conversion is needed)."""
         if not self.entries:
             return np.zeros((0, 0), dtype=np.float32)
-        return np.stack([e.descriptor for e in self.entries]).astype(np.float32)
+        return np.stack([e.descriptor for e in self.entries])
 
     def pose_matrix(self) -> np.ndarray:
         """All poses stacked as an (n, 3) float64 matrix."""
@@ -95,58 +96,40 @@ def l2(d1: np.ndarray, d2: np.ndarray) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
+def _entry_dtype(dim: int) -> np.dtype:
+    return np.dtype([("id", "<u8"), ("pose", "<f8", (3,)), ("desc", "<f4", (dim,))])
+
+
 def save(pmap: PlaceMap, path) -> None:
     """Write the LPDM container.
 
     Layout (little-endian): magic "LPDM", u32 version=1, u32 descriptor dim,
     u64 entry count; per entry u64 frame_id, 3 x f64 pose, dim x f32 descriptor.
     """
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIIQ", _LPDM_MAGIC, _LPDM_VERSION,
-                                 pmap.dim, len(pmap)))
-            for e in pmap:
-                fh.write(struct.pack("<Qddd", e.frame_id, e.pose.x, e.pose.y, e.pose.z))
-                fh.write(np.ascontiguousarray(e.descriptor, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
+    rows = np.empty(len(pmap), dtype=_entry_dtype(pmap.dim))
+    rows["id"] = pmap.frame_ids()
+    rows["pose"] = pmap.pose_matrix()
+    if len(pmap):  # stacked straight into the rows, with no matrix in between
+        np.stack([e.descriptor for e in pmap], out=rows["desc"])
+    with fileio.writing(path) as fh:
+        fh.write(struct.pack("<4sIIQ", _LPDM_MAGIC, _LPDM_VERSION, pmap.dim, len(pmap)))
+        fh.write(rows)
 
 
 def load(path) -> PlaceMap:
-    """Read an LPDM file written by ``save``; any malformed byte raises FormatError."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
-
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"{path}: truncated at byte {off}")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    magic, version, dim, count = struct.unpack("<4sIIQ", take(20))
-    if magic != _LPDM_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _LPDM_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    """Read an LPDM file written by ``save``; any malformed byte raises FormatError.
+    Entries go through ``PlaceMap.insert``, so a loaded map obeys its rules."""
+    r = fileio.Reader(path, _LPDM_MAGIC, _LPDM_VERSION)
+    dim, count = r.unpack("<IQ")
+    # an empty map is saved with dim 0; a dim wider than the file is truncation
+    if (dim > 0) != (count > 0) or 4 * dim > r.remaining():
+        raise FormatError(f"{path}: dim {dim} does not fit {count} entries")
+    rows = r.array(_entry_dtype(dim), count)
+    r.end()
     pmap = PlaceMap()
-    last_id = -1
-    for _ in range(count):
-        frame_id, x, y, z = struct.unpack("<Qddd", take(32))
-        desc = np.frombuffer(take(4 * dim), dtype="<f4").copy()
-        if frame_id <= last_id:
-            raise FormatError(f"{path}: frame ids not strictly increasing at {frame_id}")
-        last_id = frame_id
+    for fid, pose, desc in zip(rows["id"].tolist(), rows["pose"].tolist(), rows["desc"]):
         try:
-            pmap.insert(PlaceEntry(int(frame_id), Pose(x, y, z, int(frame_id)), desc))
+            pmap.insert(PlaceEntry(fid, Pose(*pose, fid), desc))
         except (OrderError, NormError, DimensionError, InvalidParams) as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
     return pmap

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import fileio, kernels
 from .cluster import SuperKeyframes
 from .errors import (EmptyInput, EmptySuperKeyframes, InsufficientHistory,
                      InvalidParams, NoValidTrajectory, OutOfBounds, WindowTooLarge)
@@ -42,10 +42,14 @@ class MatchParams:
     def __post_init__(self):
         if self.W < 1:
             raise InvalidParams("W must be >= 1")
-        if not 0.0 < self.v_min <= self.v_max:
-            raise InvalidParams("need 0 < v_min <= v_max")
-        if not self.v_step > 0.0:
-            raise InvalidParams("v_step must be > 0")
+        if not 0.0 < self.v_min <= self.v_max < math.inf:
+            raise InvalidParams("need 0 < v_min <= v_max < inf")
+        # trajectory offsets round(v * t), t < W, are int64; 2^62 leaves room
+        # for the velocity grid to overshoot v_max by its rounding slack
+        if self.v_max * (self.W - 1) >= 2.0 ** 62:
+            raise InvalidParams("v_max * (W - 1) must be < 2^62")
+        if not 0.0 < self.v_step < math.inf:
+            raise InvalidParams("v_step must be finite and > 0")
         if not 0.0 < self.accept_ratio < 1.0:
             raise InvalidParams("accept_ratio must be in (0, 1)")
         if self.exclusion is not None and self.exclusion < 0:
@@ -127,6 +131,17 @@ def _grid_minima(mat: np.ndarray, params: MatchParams):
     return kernels.trajectory_grid(mat, _offset_grid(params))
 
 
+def _best_and_second(scores: np.ndarray, excl: int):
+    """Index of the smallest score (ties to the lower index) and the smallest
+    score more than ``excl`` columns away from it (inf when there is none)."""
+    if not np.isfinite(scores).any():
+        raise NoValidTrajectory("no in-bounds trajectory")
+    best = int(np.argmin(scores))
+    masked = scores.copy()
+    masked[max(0, best - excl):best + excl + 1] = np.inf
+    return best, float(masked.min())
+
+
 def sequence_search(m: np.ndarray, params: MatchParams):
     """Exhaustive minimum over all (ref_end, velocity) trajectory lines.
 
@@ -138,15 +153,8 @@ def sequence_search(m: np.ndarray, params: MatchParams):
     if params.W > mat.shape[0]:
         raise WindowTooLarge(f"window {params.W} exceeds {mat.shape[0]} rows")
     scores, v_idx = _grid_minima(mat, params)
-    if not np.isfinite(scores).any():
-        raise NoValidTrajectory("no in-bounds trajectory")
-    best = int(np.argmin(scores))
-    vels = params.velocities()
-    excl = params.exclusion_frames
-    masked = scores.copy()
-    masked[max(0, best - excl):best + excl + 1] = np.inf
-    second = float(masked.min()) if np.isfinite(masked).any() else math.inf
-    return best, float(vels[v_idx[best]]), float(scores[best]), second
+    best, second = _best_and_second(scores, params.exclusion_frames)
+    return best, float(params.velocities()[v_idx[best]]), float(scores[best]), second
 
 
 def _candidate_runs(skf: SuperKeyframes, cluster_id: int, w: int):
@@ -186,15 +194,15 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     runs = _candidate_runs(skf, cluster_id, params.W)
     if not runs:
         raise InsufficientHistory(f"no candidate run of length >= {params.W}")
-    ref_desc = pmap.descriptor_matrix().astype(np.float64)
-
-    all_cols = []
-    all_scores = []
-    all_vel = []
+    ref_desc = pmap.descriptor_matrix()
+    vels = params.velocities()
+    # score and velocity per map column; columns outside every run stay inf,
+    # so the selector sees only the candidate runs
+    map_scores = np.full(runs[-1][1], np.inf)
+    map_vel = np.full(runs[-1][1], np.nan)
     for lo, hi in runs:
         sub = kernels.pairwise_l2(q, ref_desc[lo:hi])
         scores, v_idx = _grid_minima(sub, params)
-        vels = params.velocities()
         vel = np.where(v_idx >= 0, vels[np.maximum(v_idx, 0)], np.nan)
         if params.mirror:
             r_scores, r_idx = _grid_minima(sub[:, ::-1], params)
@@ -203,24 +211,13 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
             better = r_scores < scores
             scores = np.where(better, r_scores, scores)
             vel = np.where(better, np.where(r_idx >= 0, -vels[np.maximum(r_idx, 0)], np.nan), vel)
-        all_cols.append(np.arange(lo, hi))
-        all_scores.append(scores)
-        all_vel.append(vel)
-    cols = np.concatenate(all_cols)
-    scores = np.concatenate(all_scores)
-    vel = np.concatenate(all_vel)
+        map_scores[lo:hi] = scores
+        map_vel[lo:hi] = vel
 
-    if not np.isfinite(scores).any():
-        raise NoValidTrajectory("no in-bounds trajectory in any candidate run")
-    best_i = int(np.argmin(scores))
-    best_col = int(cols[best_i])
-    best_score = float(scores[best_i])
-    excl = params.exclusion_frames
-    far = np.abs(cols - best_col) > excl
-    second = float(scores[far].min()) if far.any() and np.isfinite(scores[far]).any() \
-        else math.inf
+    best, second = _best_and_second(map_scores, params.exclusion_frames)
+    best_score = float(map_scores[best])
     accepted = math.isfinite(second) and best_score < params.accept_ratio * second
-    return MatchResult(ref_end=best_col, velocity=float(vel[best_i]), score=best_score,
+    return MatchResult(ref_end=best, velocity=float(map_vel[best]), score=best_score,
                        accepted=bool(accepted), cluster_id=cluster_id, second_best=second)
 
 
@@ -232,10 +229,11 @@ def export_pgm(m: np.ndarray, path) -> None:
     rows, cols = pix.shape
     lines = ["P2", f"{cols} {rows}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in pix)
-    with open(path, "w") as fh:
+    with fileio.writing(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def export_csv(m: np.ndarray, path) -> None:
     """Difference matrix as comma-separated rows."""
-    np.savetxt(path, np.asarray(m, dtype=np.float64), fmt="%.10g", delimiter=",")
+    with fileio.writing(path, "w") as fh:
+        np.savetxt(fh, np.asarray(m, dtype=np.float64), fmt="%.10g", delimiter=",")

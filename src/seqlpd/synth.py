@@ -17,10 +17,12 @@ produce well-separated descriptors while revisits stay close.  Everything
 derives from the seed; equal seeds give byte-identical corpora.
 """
 
+import math
 import os
 
 import numpy as np
 
+from . import fileio
 from .errors import InvalidParams
 
 SCENARIOS = ("loop", "blobs", "line")
@@ -58,19 +60,19 @@ def write_bin(path, pts: np.ndarray) -> None:
     """KITTI-style .bin: float32 (x, y, z, intensity) records, intensity 0."""
     out = np.zeros((pts.shape[0], 4), dtype="<f4")
     out[:, :3] = pts.astype("<f4")
-    with open(path, "wb") as fh:
+    with fileio.writing(path) as fh:
         fh.write(out.tobytes())
 
 
 def write_poses(path, rows) -> None:
-    with open(path, "w") as fh:
+    with fileio.writing(path, "w") as fh:
         fh.write("frame_id,x,y,z\n")
         for fid, x, y, z in rows:
             fh.write(f"{fid},{x:.6f},{y:.6f},{z:.6f}\n")
 
 
 def _write_frames(out_dir, clouds, poses) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    fileio.make_dirs(out_dir)
     rows = []
     for i, (cloud, pose) in enumerate(zip(clouds, poses)):
         write_bin(os.path.join(out_dir, f"{i:06d}.bin"), cloud)
@@ -101,13 +103,15 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
     """Write one corpus under ``out_dir``; returns frame/pair counts."""
     if scenario not in SCENARIOS:
         raise InvalidParams(f"unknown scenario '{scenario}'")
-    if sigma < 0.0:
-        raise InvalidParams("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidParams("sigma must be finite and >= 0")
+    if seed < 0:
+        raise InvalidParams("seed must be >= 0")
     if places < _BLOB_TYPES:
         raise InvalidParams(f"need at least {_BLOB_TYPES} places")
     if points < 16:
         raise InvalidParams("need at least 16 points per frame")
-    os.makedirs(out_dir, exist_ok=True)
+    fileio.make_dirs(out_dir)
 
     if scenario == "loop":
         bases = [_place_cloud(np.random.default_rng([seed, 0, i]), points)
@@ -118,7 +122,7 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
                  for i in range(places)]
         _write_frames(os.path.join(out_dir, "query"), noisy, poses)
         pairs = [(i, i) for i in range(places)]
-        with open(os.path.join(out_dir, "gt.csv"), "w") as fh:
+        with fileio.writing(os.path.join(out_dir, "gt.csv"), "w") as fh:
             fh.write("query_frame,map_frame\n")
             for q, m in pairs:
                 fh.write(f"{q},{m}\n")
@@ -139,7 +143,7 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
             labels.append(t)
         _write_frames(os.path.join(out_dir, "map"), clouds,
                       _line_poses(total, _FAR_SPACING))
-        with open(os.path.join(out_dir, "gt.csv"), "w") as fh:
+        with fileio.writing(os.path.join(out_dir, "gt.csv"), "w") as fh:
             fh.write("frame_id,label\n")
             for i, t in enumerate(labels):
                 fh.write(f"{i},{t}\n")
@@ -155,7 +159,7 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
              for i in range(places)]
     _write_frames(os.path.join(out_dir, "query"), query,
                   _line_poses(places, _SPACING, start=places * _SPACING))
-    with open(os.path.join(out_dir, "gt.csv"), "w") as fh:
+    with fileio.writing(os.path.join(out_dir, "gt.csv"), "w") as fh:
         fh.write("query_frame,map_frame\n")
     return {"scenario": scenario, "map_frames": places,
             "query_frames": places, "gt_rows": 0}
@@ -163,11 +167,5 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
 
 def read_gt(path) -> list:
     """Rows of gt.csv as int tuples (header skipped)."""
-    out = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(tuple(int(v) for v in line.split(",")))
-    return out
+    return [tuple(int(v) for v in line.split(","))
+            for line in fileio.read_lines(path)[1:] if line.strip()]

@@ -261,3 +261,106 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("scenario=line")
+
+
+def _one_error(argv, capsys, code, exit_code=1):
+    """Run argv; it must fail with one ``E:<code>:`` line and nothing on stdout."""
+    got, out, err = _run(argv, capsys)
+    assert (got, out) == (exit_code, "")
+    assert err.count("\n") == 1 and err.startswith(f"E:{code}:"), err
+    return err
+
+
+def _two_frames(corpus, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for name in ("000000.bin", "000001.bin"):
+        (frames / name).write_bytes((corpus / "c" / "map" / name).read_bytes())
+    return frames
+
+
+def test_unreadable_poses_are_one_error_line(corpus, tmp_path, capsys):
+    frames = _two_frames(corpus, tmp_path)
+    argv = ["describe", str(frames), "-o", str(tmp_path / "m.lpdm")] + DESCRIBE_FLAGS
+    (frames / "poses.csv").write_bytes(b"frame_id,x,y,z\n0,0,0,0\n1,\xff,0,0\n")
+    assert "not UTF-8" in _one_error(argv, capsys, "FormatError")
+    (frames / "poses.csv").unlink()
+    (frames / "poses.csv").mkdir()
+    _one_error(argv, capsys, "IoError")
+
+
+def test_non_utf8_config_and_frame_csv_are_format_errors(corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"n_sub = 64\n# caf\xe9\n")
+    _one_error(["describe", str(corpus / "c" / "map"), "-o", str(tmp_path / "m.lpdm"),
+                "--baseline", "--config", str(cfg)], capsys, "FormatError")
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "0.csv").write_bytes(b"x,y,z\n0,0,0\n1,\xff,0\n")
+    _one_error(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")] + DESCRIBE_FLAGS,
+               capsys, "FormatError")
+
+
+def test_unwritable_outputs_are_io_errors(corpus, tmp_path, capsys):
+    for name in ("x.pgm", "x.csv"):
+        _one_error(["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
+                    str(corpus / "c" / "query"), "--W", "5", "--diffmat",
+                    str(tmp_path / "absent" / name)] + DESCRIBE_FLAGS, capsys, "IoError")
+    taken = tmp_path / "file"
+    taken.write_text("x")
+    for out in (taken / "below", taken):  # below a regular file, and onto one
+        _one_error(["synth", str(out), "--scenario", "line", "--places", "3",
+                    "--points", "16"], capsys, "IoError")
+
+
+def test_non_utf8_tensor_name_is_format_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "w.lpdw"
+    bad.write_bytes(b"LPDW" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+                    + (2).to_bytes(2, "little") + b"\xff\xfe" + bytes([1])
+                    + (1).to_bytes(4, "little") + np.float32(0.5).tobytes())
+    err = _one_error(["describe", str(corpus / "c" / "map"), "-o", str(tmp_path / "m.lpdm"),
+                      "--weights", str(bad)], capsys, "FormatError")
+    assert "not UTF-8" in err
+
+
+def test_negative_seed_is_invalid_params(corpus, tmp_path, capsys):
+    # n_sub 128 > 64 points per frame, so describe resamples with the seed
+    _one_error(["describe", str(corpus / "c" / "map"), "-o", str(tmp_path / "m.lpdm"),
+                "--seed", "-1"] + DESCRIBE_FLAGS, capsys, "InvalidParams")
+    _one_error(["synth", str(tmp_path / "s"), "--scenario", "loop", "--places", "3",
+                "--points", "16", "--seed", "-1"], capsys, "InvalidParams")
+    _one_error(["cluster", str(corpus / "map.lpdm"), "-o", str(tmp_path / "m.lpdc"),
+                "--D", "1.0", "--seed", "-5000"], capsys, "InvalidParams")
+
+
+def test_unbounded_velocities_are_invalid_params(corpus, capsys):
+    base = ["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
+            str(corpus / "c" / "query"), "--W", "5"] + DESCRIBE_FLAGS
+    _one_error(base + ["--v-max", "inf"], capsys, "InvalidParams")
+    # finite, but round(v * t) overflows int64
+    _one_error(base + ["--v-min", "1e300", "--v-max", "1e300"], capsys, "InvalidParams")
+    _one_error(base + ["--v-min", "1", "--v-max", "1", "--v-step", "inf"], capsys,
+               "InvalidParams")
+
+
+def test_non_decimal_digit_stem_takes_the_frame_index(corpus, tmp_path, capsys):
+    frames = _two_frames(corpus, tmp_path)
+    (frames / "000001.bin").rename(frames / "².bin")  # '²'.isdigit() but not a number
+    code, out, err = _run(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")]
+                          + DESCRIBE_FLAGS, capsys)
+    assert (code, err) == (0, "")
+    assert placemap.load(tmp_path / "m.lpdm").frame_ids().tolist() == [0, 1]
+
+
+def test_non_finite_clusters_and_sigma_are_rejected(corpus, tmp_path, capsys):
+    blob = (corpus / "map.lpdc").read_bytes()
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    bad = tmp_path / "bad.lpdc"
+    for mutated in (blob[:-4] + nan, blob[:12] + nan + blob[16:]):  # a center value, D
+        bad.write_bytes(mutated)
+        err = _one_error(["match", str(corpus / "map.lpdm"), str(bad),
+                          str(corpus / "c" / "query"), "--W", "5"] + DESCRIBE_FLAGS,
+                         capsys, "FormatError")
+        assert "non-finite" in err
+    _one_error(["synth", str(tmp_path / "s"), "--scenario", "loop", "--places", "3",
+                "--points", "16", "--sigma", "nan"], capsys, "InvalidParams")

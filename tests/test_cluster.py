@@ -257,6 +257,24 @@ def test_run_jobs_reraises_and_stops_handing_out():
     assert len(done) < 999
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_run_jobs_reraises_the_lowest_index_failure(workers):
+    later_failed = threading.Event()
+
+    def job(i):
+        if i == 5:
+            if workers > 1:  # fail only after job 7 has failed on another thread
+                assert later_failed.wait(10)
+            raise ValueError("job 5")
+        if i == 7:
+            later_failed.set()
+            raise KeyError("job 7")
+        return i
+
+    with pytest.raises(ValueError, match="job 5"):
+        _accel.run_jobs(job, range(40), workers)
+
+
 def test_super_keyframes_argmin_and_membership():
     rng = np.random.default_rng(7)
     descs = random_unit(rng, 60, 256)
@@ -406,6 +424,22 @@ def test_lpdc_corrupt_fixtures(tmp_path):
     bad.write_bytes(blob + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         cluster.load_clusters(bad, pm)
+
+
+def test_lpdc_non_finite_center_or_d_is_format_error(tmp_path):
+    pm = _map_from(random_unit(np.random.default_rng(15), 12, 256))
+    skf = cluster.super_keyframes(pm, cluster.kmeanspp(pm.descriptor_matrix().astype(np.float64),
+                                                       K=2, seed=0))
+    path = tmp_path / "c.lpdc"
+    cluster.save_clusters(skf, 0.5, path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.lpdc"
+    for value in (np.nan, np.inf):
+        f32 = np.array([value], dtype="<f4").tobytes()
+        for mutated in (blob[:12] + f32 + blob[16:], blob[:-4] + f32):  # D, last center value
+            bad.write_bytes(mutated)
+            with pytest.raises(FormatError, match="non-finite"):
+                cluster.load_clusters(bad, pm)
 
 
 def test_lpdc_huge_k_is_format_error_before_allocating(tmp_path):

@@ -87,11 +87,25 @@ def test_missing_file_is_io_error(tmp_path):
     {"k_local": 1}, {"W": 0}, {"v_min": 0.0}, {"v_min": 1.3},
     {"v_step": 0.0}, {"accept_ratio": 1.0}, {"accept_ratio": 0.0},
     {"D": 0.0}, {"gt_radius": -1.0}, {"min_successes": 0},
-    {"min_successes": 6}, {"alpha": 0.0}, {"p_neg": 0},
+    {"min_successes": 6}, {"seed": -1}, {"D": 1e39}, {"gt_radius": float("inf")},
+    {"gt_radius": float("nan")}, {"D": float("inf")},
 ])
 def test_validate_rejects_out_of_range(overrides):
     with pytest.raises(InvalidParams):
         config.apply(Config(), overrides).validate()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "p_pos", "p_neg"])
+def test_training_margins_are_not_config_keys(key):
+    with pytest.raises(InvalidParams, match="unknown config key"):
+        config.apply(Config(), {key: "1"})
+
+
+def test_non_utf8_file_is_format_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"W = 6\n# caf\xe9\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        config.parse_file(path)
 
 
 def test_validate_accepts_optional_when_set():

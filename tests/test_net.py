@@ -98,6 +98,19 @@ def test_lpdw_corrupt_fixtures(tmp_path):
         net.load_weights(bad)
 
 
+def test_lpdw_non_finite_weight_is_format_error(tmp_path):
+    ws = net.random_weights(SMALL, seed=3)
+    path = tmp_path / "w.lpdw"
+    net.save_weights(ws, path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.lpdw"
+    for value in (np.nan, np.inf):
+        # the last payload value of the last tensor
+        bad.write_bytes(blob[:-4] + np.array([value], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            net.load_weights(bad)
+
+
 def test_input_transform_starts_near_identity():
     # with zero weights everywhere, the identity bias makes Texactly I
     shapes = net.expected_shapes(SMALL)

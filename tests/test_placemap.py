@@ -161,6 +161,25 @@ def test_lpdm_corrupt_fixtures(tmp_path):
         placemap.load(bad)
 
 
+def test_lpdm_out_of_range_header_and_ids_are_format_errors(tmp_path):
+    pm = placemap.PlaceMap()
+    pm.insert(_entry(0, _unit()))
+    path = tmp_path / "map.lpdm"
+    placemap.save(pm, path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.lpdm"
+    # a frame id that the int64 id array cannot hold
+    bad.write_bytes(blob[:20] + (1 << 63).to_bytes(8, "little") + blob[28:])
+    with pytest.raises(FormatError, match="frame id"):
+        placemap.load(bad)
+    # an empty map whose dim would not survive a re-save; a dim numpy cannot size
+    for dim, count in ((7, 0), (0xFFFFFFFF, 0), (0xFFFFFFFF, 1)):
+        bad.write_bytes(b"LPDM" + (1).to_bytes(4, "little") + dim.to_bytes(4, "little")
+                        + count.to_bytes(8, "little"))
+        with pytest.raises(FormatError, match="does not fit"):
+            placemap.load(bad)
+
+
 def test_lpdm_missing_file(tmp_path):
     with pytest.raises(IoError):
         placemap.load(tmp_path / "absent.lpdm")

@@ -1,0 +1,206 @@
+"""Whole-package robustness: mutated containers, hostile CLI flags, and the
+one-of-each structure (one file boundary, one worker pool, one selector)."""
+
+import ast
+import contextlib
+import io
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seqlpd
+from seqlpd import cli, cluster, net, placemap, seqmatch
+from seqlpd.cloud import Pose
+from seqlpd.errors import FormatError
+
+from oracles import random_unit
+
+SRC = os.path.dirname(seqlpd.__file__)
+
+
+def _small_map():
+    pm = placemap.PlaceMap()
+    for i, d in enumerate(random_unit(np.random.default_rng(0), 5, 4)):
+        pm.insert(placemap.PlaceEntry(2 * i, Pose(float(i), -0.5, 0.25, 2 * i), d))
+    return pm
+
+
+def _containers(tmp):
+    """(name, valid bytes, load(path), save(obj, path)) for each binary format."""
+    pm = _small_map()
+    ws = net.WeightSet({"a.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                        "scälar": np.float32(-0.0).reshape(()), "empty": np.zeros((0, 2))})
+    c = cluster.kmeanspp(pm.descriptor_matrix().astype(np.float64), K=2, seed=1)
+    skf = cluster.super_keyframes(pm, c)
+    out = []
+    for name, obj, save, load in (
+            ("lpdw", ws, net.save_weights, net.load_weights),
+            ("lpdm", pm, placemap.save, placemap.load),
+            ("lpdc", skf, lambda s, p: cluster.save_clusters(s, 0.75, p),
+             lambda p: cluster.load_clusters(p, pm))):
+        path = os.path.join(tmp, "valid." + name)
+        save(obj, path)
+        with open(path, "rb") as fh:
+            out.append((name, fh.read(), load, save))
+    return out
+
+
+_MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                      st.integers(0, 1 << 16), st.integers(1, 255))
+
+
+def _mutate(blob: bytes, mutations) -> bytes:
+    b = bytearray(blob)
+    for kind, pos, value in mutations:
+        pos %= len(b) + 1
+        if kind == "flip" and pos < len(b):
+            b[pos] ^= value
+        elif kind == "insert":
+            b[pos:pos] = bytes([value]) * (1 + value % 4)
+        elif kind == "delete":
+            del b[pos:pos + 1 + value % 8]
+        else:
+            del b[pos:]
+    return bytes(b)
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("containers")
+    return str(tmp), _containers(str(tmp))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(which=st.integers(0, 2), mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_containers_fail_as_format_error_or_round_trip(containers, which, mutations):
+    tmp, table = containers
+    name, blob, load, save = table[which]
+    bad = _mutate(blob, mutations)
+    path = os.path.join(tmp, "mutated." + name)
+    with open(path, "wb") as fh:
+        fh.write(bad)
+    try:
+        obj = load(path)
+    except FormatError:
+        return
+    if name == "lpdc":
+        obj = obj[0]
+    again = os.path.join(tmp, "again." + name)
+    save(obj, again)
+    with open(again, "rb") as fh:
+        assert fh.read() == bad
+
+
+# flags with a documented range, each with hostile values; unbounded sizes
+# (n_sub, k_local, places, points, a tiny v_step or a v_max far above v_min)
+# would only ask numpy for huge arrays and are left out
+_INT = ["-1", "0", "-5000", "1", "2", "3", "5", str(10 ** 30), "nan"]
+_FLOAT = ["-1", "0", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "0.5", "0.9", "1", "2"]
+_VELOCITIES = [("1e300", "1e300"), ("0.8", "inf"), ("inf", "inf"), ("nan", "1.2"),
+               ("0.8", "nan"), ("-1", "1.2"), ("0", "1"), ("1.2", "0.8"), ("0.8", "-inf"),
+               ("1e-300", "1e-300"), ("0.8", "1.2"), ("1", "1")]
+
+
+@st.composite
+def _argv(draw, root):
+    def opt(flag, values):  # each flag is left out half the time
+        return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+    flags = ["--baseline", "--n-sub", "32", "--k-local", "4"]
+    cmd = draw(st.sampled_from(["describe", "cluster", "match", "eval", "synth"]))
+    if cmd == "synth":
+        return (["synth", os.path.join(root, "s"), "--scenario",
+                 draw(st.sampled_from(["loop", "blobs", "line"])),
+                 "--places", draw(st.sampled_from(["-1", "0", "2", "3", "4"])),
+                 "--points", draw(st.sampled_from(["-1", "15", "16"]))]
+                + opt("--sigma", _FLOAT) + opt("--seed", _INT))
+    if cmd == "describe":
+        return (["describe", os.path.join(root, "c", "map"), "-o",
+                 os.path.join(root, "d.lpdm")] + flags + opt("--seed", _INT))
+    if cmd == "cluster":
+        return (["cluster", os.path.join(root, "m.lpdm"), "-o", os.path.join(root, "d.lpdc"),
+                 "--D", draw(st.sampled_from(_FLOAT))]
+                + opt("--k-max", _INT) + opt("--seed", _INT))
+    if cmd == "match":
+        v_min, v_max = draw(st.sampled_from(_VELOCITIES))
+        return (["match", os.path.join(root, "m.lpdm"), os.path.join(root, "m.lpdc"),
+                 os.path.join(root, "c", "query"), "--W", draw(st.sampled_from(_INT)),
+                 "--v-min", v_min, "--v-max", v_max] + flags
+                + opt("--v-step", ["-1", "0", "nan", "inf", "1e300", "0.1"])
+                + opt("--accept-ratio", _FLOAT) + opt("--seed", _INT)
+                + draw(st.sampled_from([[], ["--mirror"]])))
+    return (["eval", os.path.join(root, "m.lpdm"), os.path.join(root, "c", "query"),
+             "--gt-radius", draw(st.sampled_from(_FLOAT))] + flags
+            + opt("--min-successes", _INT) + opt("--seed", _INT)
+            + opt("--n", ["1", "0", "-1", "1,99", "x", ""]))
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("fuzzcli"))
+    assert cli.main(["synth", os.path.join(root, "c"), "--scenario", "loop", "--places", "8",
+                     "--points", "32", "--seed", "2"]) == 0
+    assert cli.main(["describe", os.path.join(root, "c", "map"), "-o",
+                     os.path.join(root, "m.lpdm"), "--baseline", "--n-sub", "32",
+                     "--k-local", "4"]) == 0
+    assert cli.main(["cluster", os.path.join(root, "m.lpdm"), "-o",
+                     os.path.join(root, "m.lpdc"), "--D", "2.0"]) == 0
+    return root
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_hostile_flags_give_exit_0_or_one_error_line(small_corpus, data):
+    argv = data.draw(_argv(small_corpus))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = err.getvalue()
+    if code == 0:
+        assert text == ""
+    else:
+        assert code in (1, 2)
+        assert text.count("\n") == 1 and text.startswith("E:"), text
+
+
+def _sources():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_one_file_boundary_and_one_pool():
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "open" or name == "fileio.py", f"open() in {name}"
+            ident = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "name", None)
+            if ident == "ThreadPoolExecutor":
+                assert name == "_accel.py", f"ThreadPoolExecutor in {name}"
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "take", f"take() reader in {name}"
+
+
+def test_sequence_search_and_detect_loop_share_one_selector(monkeypatch):
+    calls = []
+    select = seqmatch._best_and_second
+
+    def spy(scores, excl):
+        calls.append(len(scores))
+        return select(scores, excl)
+
+    monkeypatch.setattr(seqmatch, "_best_and_second", spy)
+    descs = random_unit(np.random.default_rng(3), 30, 16)
+    params = seqmatch.MatchParams(W=4)
+    seqmatch.sequence_search(seqmatch.difference_matrix(descs[:4], descs), params)
+    pm = placemap.PlaceMap()
+    for i, d in enumerate(descs):
+        pm.insert(placemap.PlaceEntry(i, Pose(0.0, 0.0, 0.0, i), d))
+    c = cluster.kmeanspp(descs.astype(np.float64), K=1, seed=0)
+    seqmatch.detect_loop(descs[10:14], pm, cluster.super_keyframes(pm, c), params)
+    assert calls == [30, 30]
