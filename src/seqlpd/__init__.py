@@ -30,7 +30,7 @@ from .net import (NetConfig, WeightSet, baseline_descriptor, describe,
                   describe_many, feature_transform, graph_aggregate,
                   input_transform, lazy_quadruplet_loss, load_weights, netvlad,
                   random_weights, save_weights)
-from .placemap import PlaceEntry, PlaceMap, l2
+from .placemap import PlaceEntry, PlaceMap
 from .seqmatch import (MatchParams, MatchResult, coarse_match, detect_loop,
                        difference_matrix, sequence_search, trajectory_score)
 

@@ -214,8 +214,12 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
 class SuperKeyframes:
     """Per-cluster typical places and member KD-trees for coarse-to-fine matching.
 
-    ``trees[k]`` stays None until :func:`nearest_in_cluster` first searches
-    cluster k; loop detection routes through the keyframes alone.
+    ``descriptors`` is kept as given, usually the map's read-only float32
+    view, so no copy of the map is made; ``keyframe_descriptors`` holds the
+    K keyframe rows as float64.  ``n_hist`` is the length of the clustered
+    history, one past the highest member index.  ``trees[k]`` stays None
+    until :func:`nearest_in_cluster` first searches cluster k; loop detection
+    routes through the keyframes alone.
     """
 
     def __init__(self, centers: np.ndarray, keyframes: np.ndarray, members: list,
@@ -223,8 +227,9 @@ class SuperKeyframes:
         self.centers = np.ascontiguousarray(centers, dtype=np.float64)
         self.keyframes = np.ascontiguousarray(keyframes, dtype=np.int64)
         self.members = [np.ascontiguousarray(m, dtype=np.int64) for m in members]
-        self._desc = np.ascontiguousarray(descriptors, dtype=np.float64)
-        self.keyframe_descriptors = self._desc[self.keyframes]
+        self._desc = np.asarray(descriptors)
+        self.keyframe_descriptors = self._desc[self.keyframes].astype(np.float64)
+        self.n_hist = 1 + max((int(m.max()) for m in self.members if m.size), default=-1)
         self.trees = [None] * len(self.members)
 
     @property
@@ -238,7 +243,7 @@ class SuperKeyframes:
 def super_keyframes(pmap: PlaceMap, clustering: Clustering) -> SuperKeyframes:
     """Pick each cluster's keyframe (member nearest the center, ties to the
     lower entry index)."""
-    desc = pmap.descriptor_matrix().astype(np.float64)
+    desc = pmap.descriptor_matrix()
     if desc.shape[0] != clustering.assignment.shape[0]:
         raise ShapeError(f"clustering covers {clustering.assignment.shape[0]} entries, "
                          f"map has {desc.shape[0]}")
@@ -329,6 +334,6 @@ def load_clusters(path, pmap: PlaceMap):
         raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
     centers = r.array("<f4", kk * dim).reshape(kk, dim)
     r.end()
-    desc = pmap.descriptor_matrix().astype(np.float64)
-    skf = SuperKeyframes(centers.astype(np.float64), keyframes, members, desc)
+    skf = SuperKeyframes(centers.astype(np.float64), keyframes, members,
+                         pmap.descriptor_matrix())
     return skf, float(d_thresh)

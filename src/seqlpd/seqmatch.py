@@ -22,6 +22,8 @@ from .errors import (EmptyInput, EmptySuperKeyframes, InsufficientHistory,
                      InvalidParams, NoValidTrajectory, OutOfBounds, WindowTooLarge)
 from .placemap import PlaceMap
 
+MAX_VELOCITIES = 2 ** 16  # longest velocity grid MatchParams accepts
+
 
 @dataclass(frozen=True)
 class MatchParams:
@@ -50,6 +52,9 @@ class MatchParams:
             raise InvalidParams("v_max * (W - 1) must be < 2^62")
         if not 0.0 < self.v_step < math.inf:
             raise InvalidParams("v_step must be finite and > 0")
+        if self._grid_length() > MAX_VELOCITIES:
+            raise InvalidParams(f"(v_max - v_min) / v_step allows at most "
+                                f"{MAX_VELOCITIES} velocities")
         if not 0.0 < self.accept_ratio < 1.0:
             raise InvalidParams("accept_ratio must be in (0, 1)")
         if self.exclusion is not None and self.exclusion < 0:
@@ -59,9 +64,14 @@ class MatchParams:
     def exclusion_frames(self) -> int:
         return 2 * self.W if self.exclusion is None else self.exclusion
 
+    def _grid_length(self):
+        """Length of the velocity grid as a Python number, so a huge one is
+        never allocated (inf when the quotient overflows)."""
+        steps = (self.v_max - self.v_min) / self.v_step + 1e-9
+        return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+
     def velocities(self) -> np.ndarray:
-        n = int(math.floor((self.v_max - self.v_min) / self.v_step + 1e-9)) + 1
-        return self.v_min + self.v_step * np.arange(n)
+        return self.v_min + self.v_step * np.arange(self._grid_length())
 
 
 @dataclass(frozen=True)
@@ -158,23 +168,19 @@ def sequence_search(m: np.ndarray, params: MatchParams):
 
 
 def _candidate_runs(skf: SuperKeyframes, cluster_id: int, w: int):
-    """Contiguous candidate frame runs: members expanded by +-W, clamped to
-    the clustered (historical) portion of the map, split at gaps, and kept
-    only when at least W long."""
-    n_hist = 1 + max(int(m.max()) for m in skf.members)
-    mask = np.zeros(n_hist, dtype=bool)
-    for mi in skf.members[cluster_id]:
-        mask[max(0, int(mi) - w):min(n_hist, int(mi) + w + 1)] = True
-    cols = np.flatnonzero(mask)
-    runs = []
-    start = 0
-    for i in range(1, cols.shape[0] + 1):
-        if i == cols.shape[0] or cols[i] != cols[i - 1] + 1:
-            run = cols[start:i]
-            if run.shape[0] >= w:
-                runs.append((int(run[0]), int(run[-1] + 1)))
-            start = i
-    return runs
+    """Contiguous candidate frame runs [lo, hi): members expanded by +-W,
+    clamped to the clustered history [0, skf.n_hist), joined where they touch
+    or overlap, and kept only when at least W long."""
+    m = np.sort(skf.members[cluster_id])
+    lo = np.maximum(m - w, 0)
+    hi = np.minimum(m + w + 1, skf.n_hist)
+    # hi rises with m, so a member opens a new run exactly when its span
+    # starts past the end of the previous member's
+    gap = np.flatnonzero(lo[1:] > hi[:-1])
+    starts = np.concatenate((lo[:1], lo[gap + 1]))
+    ends = np.concatenate((hi[gap], hi[-1:]))
+    keep = ends - starts >= w
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,

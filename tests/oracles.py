@@ -160,6 +160,27 @@ def seqsearch_oracle(m: np.ndarray, w: int, v_min: float, v_max: float,
     return best_col, best_v, best_s, second
 
 
+def candidate_runs_oracle(members, cluster_id: int, w: int):
+    """Candidate runs of one cluster by a per-member loop over a column mask:
+    each member marks [m - w, m + w] clamped to [0, n_hist), where n_hist is
+    one past the highest member of any cluster; runs of marked columns at
+    least w long come back as (lo, hi) pairs."""
+    n_hist = 1 + max(int(m.max()) for m in members)
+    mask = np.zeros(n_hist, dtype=bool)
+    for mi in members[cluster_id]:
+        mask[max(0, int(mi) - w):min(n_hist, int(mi) + w + 1)] = True
+    cols = np.flatnonzero(mask)
+    runs = []
+    start = 0
+    for i in range(1, cols.shape[0] + 1):
+        if i == cols.shape[0] or cols[i] != cols[i - 1] + 1:
+            run = cols[start:i]
+            if run.shape[0] >= w:
+                runs.append((int(run[0]), int(run[-1] + 1)))
+            start = i
+    return runs
+
+
 def retrieval_oracle(qdescs, qposes, db_descs, db_poses, gt_radius: float, n: int):
     """Recall@N by exhaustive scan; returns (percentage, evaluated, skipped)."""
     qd = np.asarray(qdescs, dtype=np.float64)

@@ -335,12 +335,15 @@ def test_negative_seed_is_invalid_params(corpus, tmp_path, capsys):
 
 def test_unbounded_velocities_are_invalid_params(corpus, capsys):
     base = ["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
-            str(corpus / "c" / "query"), "--W", "5"] + DESCRIBE_FLAGS
-    _one_error(base + ["--v-max", "inf"], capsys, "InvalidParams")
+            str(corpus / "c" / "query")] + DESCRIBE_FLAGS
+    _one_error(base + ["--W", "5", "--v-max", "inf"], capsys, "InvalidParams")
     # finite, but round(v * t) overflows int64
-    _one_error(base + ["--v-min", "1e300", "--v-max", "1e300"], capsys, "InvalidParams")
-    _one_error(base + ["--v-min", "1", "--v-max", "1", "--v-step", "inf"], capsys,
+    _one_error(base + ["--W", "5", "--v-min", "1e300", "--v-max", "1e300"], capsys,
                "InvalidParams")
+    _one_error(base + ["--W", "5", "--v-min", "1", "--v-max", "1", "--v-step", "inf"],
+               capsys, "InvalidParams")
+    # W = 1 has no offset to overflow; the velocity grid would have 1e301 steps
+    _one_error(base + ["--W", "1", "--v-max", "1e300"], capsys, "InvalidParams")
 
 
 def test_non_decimal_digit_stem_takes_the_frame_index(corpus, tmp_path, capsys):

@@ -89,27 +89,69 @@ def test_insert_rejects_dim_change():
         pm.insert(_entry(1, _unit(dim=32)))
 
 
-def test_l2_basic_properties():
-    d = _unit()
-    assert placemap.l2(d, d) == 0.0
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    e2 = np.zeros(4)
-    e2[1] = 1.0
-    assert placemap.l2(e1, e2) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    with pytest.raises(DimensionError):
-        placemap.l2(np.zeros(3), np.zeros(4))
+def test_descriptor_matrix_is_a_read_only_view_that_outlives_growth():
+    descs = random_unit(np.random.default_rng(3), 40, 8)
+    pm = placemap.PlaceMap()
+    assert pm.descriptor_matrix().shape == (0, 0)
+    views = []
+    for i, d in enumerate(descs):  # 40 inserts cross several capacity doublings
+        pm.insert(_entry(i, d))
+        views.append((pm.descriptor_matrix(), pm.pose_matrix(), pm.frame_ids()))
+    for n, (dm, poses, ids) in enumerate(views, start=1):
+        np.testing.assert_array_equal(dm, descs[:n])
+        np.testing.assert_array_equal(poses[:, 0], np.arange(n))
+        np.testing.assert_array_equal(ids, np.arange(n))
+        for a in (dm, poses, ids):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    assert pm.descriptor_matrix().dtype == np.float32
+    assert np.shares_memory(pm.descriptor_matrix(), pm.descriptor_matrix())
 
 
-def test_l2_unit_vectors_bounded_and_triangle():
-    rng = np.random.default_rng(1)
-    descs = random_unit(rng, 30, 64)
-    for _ in range(200):
-        i, j, k = rng.integers(0, 30, size=3)
-        dij = placemap.l2(descs[i], descs[j])
-        assert 0.0 <= dij <= 2.0 + 1e-12
-        assert dij <= placemap.l2(descs[i], descs[k]) + placemap.l2(descs[k], descs[j]) + 1e-6
-        assert dij == pytest.approx(placemap.l2(descs[j], descs[i]), abs=0.0)
+def test_entries_read_back_what_was_inserted():
+    rng = np.random.default_rng(4)
+    descs = random_unit(rng, 5, 16)
+    poses = rng.normal(size=(5, 3))
+    pm = placemap.PlaceMap()
+    for i in range(5):
+        pm.insert(_entry(3 * i + 1, descs[i], Pose(*poses[i], 3 * i + 1)))
+    entries = list(pm)
+    assert [e.frame_id for e in entries] == [1, 4, 7, 10, 13]
+    for e, d, p in zip(entries, descs, poses):
+        assert e.pose == Pose(*p, e.frame_id)
+        np.testing.assert_array_equal(e.descriptor, d)
+        assert not e.descriptor.flags.writeable
+    assert pm[-1].frame_id == 13 and pm[-5].frame_id == 1
+    assert pm[2].pose == entries[2].pose
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            pm[i]
+
+
+@pytest.mark.parametrize("bad", [
+    {1: {"id": 1 << 63}}, {1: {"id": 0}}, {2: {"id": 2}}, {1: {"scale": 0.5}},
+    {1: {"scale": 0.5}, 2: {"id": 0}}, {0: {"id": 2}, 1: {"id": 2}},
+])
+def test_load_reports_the_first_bad_row_as_insert_does(tmp_path, bad):
+    rows = [[2 * i, Pose(float(i), 0.0, 0.0, 2 * i), d]
+            for i, d in enumerate(random_unit(np.random.default_rng(5), 3, 8))]
+    for i, change in bad.items():
+        rows[i][0] = change.get("id", rows[i][0])
+        rows[i][2] = rows[i][2] * change.get("scale", 1.0)
+    pm = placemap.PlaceMap()
+    with pytest.raises((OrderError, NormError)) as want:
+        for fid, pose, d in rows:
+            pm.insert(placemap.PlaceEntry(fid, pose, d))
+    # an LPDM file with the same rows, written past save's checks
+    dtype = placemap._entry_dtype(8)
+    blob = np.array([(fid, (p.x, p.y, p.z), d) for fid, p, d in rows], dtype=dtype)
+    path = tmp_path / "bad.lpdm"
+    path.write_bytes(b"LPDM" + (1).to_bytes(4, "little") + (8).to_bytes(4, "little")
+                     + (3).to_bytes(8, "little") + blob.tobytes())
+    with pytest.raises(FormatError) as got:
+        placemap.load(path)
+    assert str(got.value) == f"{path}: {want.value}"
 
 
 def test_lpdm_round_trip_exact(tmp_path):

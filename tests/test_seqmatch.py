@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqlpd import cluster, placemap, seqmatch
 from seqlpd.cloud import Pose
 from seqlpd.errors import (EmptyInput, InsufficientHistory, InvalidParams,
                            OutOfBounds, WindowTooLarge)
 
-from oracles import orthogonal_to, random_unit, seqsearch_oracle, trajectory_score_oracle
+from oracles import (candidate_runs_oracle, orthogonal_to, random_unit, seqsearch_oracle,
+                     trajectory_score_oracle)
 
 
 def _map_from(descs):
@@ -165,6 +168,59 @@ def test_match_params_validation():
     assert seqmatch.MatchParams(W=7).exclusion_frames == 14
     np.testing.assert_allclose(seqmatch.MatchParams().velocities(),
                                [0.8, 0.9, 1.0, 1.1, 1.2])
+
+
+def test_velocity_grid_is_bounded_before_it_is_built():
+    top = seqmatch.MAX_VELOCITIES
+    assert seqmatch.MatchParams(v_min=1.0, v_max=1.0 + (top - 1) * 0.5,
+                                v_step=0.5).velocities().shape == (top,)
+    with pytest.raises(InvalidParams, match="velocities"):
+        seqmatch.MatchParams(v_min=1.0, v_max=1.0 + top * 0.5, v_step=0.5)
+    # W = 1 has no trajectory offset to overflow, so only the grid bound
+    # stops these; a subnormal v_step makes the grid length overflow to inf
+    for kwargs in ({"v_max": 1e300}, {"v_step": 1e-300}, {"v_step": 5e-324}):
+        with pytest.raises(InvalidParams, match="velocities"):
+            seqmatch.MatchParams(W=1, **kwargs)
+
+
+@st.composite
+def _cluster_members(draw):
+    """(members of every cluster, 0, w): cluster 0 is tested.  Its members are
+    w - 1 or w apart, near the join boundary (2w + 1 apart joins, 2w + 2 does
+    not), or far enough apart to leave w - 1 or w free columns between runs;
+    its first member may sit at 0 and its last at n_hist - 1.  Other clusters
+    take every other index below n_hist."""
+    w = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.sampled_from(sorted({1, max(1, w - 1), w, 2 * w, 2 * w + 1,
+                                                 2 * w + 2, 3 * w, 3 * w + 1})),
+                         max_size=8))
+    mine = draw(st.integers(0, 2 * w)) + np.cumsum([0] + gaps)
+    n_hist = int(mine[-1]) + 1 + draw(st.integers(0, 2 * w))
+    rest = np.setdiff1d(np.arange(n_hist), mine)
+    split = draw(st.integers(0, rest.shape[0]))
+    # members read from an .lpdc file need not be sorted
+    clusters = [np.array(draw(st.permutations(mine.tolist())))]
+    clusters += [c for c in (rest[:split], rest[split:]) if c.shape[0]]
+    if draw(st.booleans()):  # W larger than the whole map
+        w = n_hist + draw(st.integers(1, 3))
+    return clusters, 0, w
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_cluster_members())
+@example(case=([np.array([0]), np.array([1, 2])], 0, 1))       # single member at 0
+@example(case=([np.array([0, 1]), np.array([2])], 1, 2))       # single member at n_hist - 1
+@example(case=([np.array([0, 4]), np.arange(1, 4)], 0, 1))     # gap 2w + 2: two runs
+@example(case=([np.array([0, 3]), np.array([1, 2])], 0, 1))    # gap 2w + 1: one run
+@example(case=([np.array([5]), np.arange(5)], 0, 9))           # W larger than the map
+def test_candidate_runs_match_the_member_loop(case):
+    members, cluster_id, w = case
+    skf = cluster.SuperKeyframes(np.zeros((len(members), 2)),
+                                 [int(m[0]) for m in members], members,
+                                 np.zeros((1 + max(int(m.max()) for m in members), 2)))
+    assert skf.n_hist == 1 + max(int(m.max()) for m in members)
+    assert seqmatch._candidate_runs(skf, cluster_id, w) == \
+        candidate_runs_oracle(members, cluster_id, w)
 
 
 def _loop_descriptors(rng, n_places=80, dim=64, sigma=0.0):
