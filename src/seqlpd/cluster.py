@@ -17,6 +17,25 @@ run them serially, since their jobs are too short to gain from threads.
 The chosen clustering does not depend on the worker count.  The exact
 distance passes run in cache-sized row blocks; each row's value is the same
 as in an unblocked pass.
+
+Each run skips only work that cannot change its result, so it gives the
+same clustering, bit for bit, as one that recomputes everything:
+
+* Seeding.  For each new center, one GEMV gives every row an approximate
+  squared distance, ``sqx + sqx[j] - 2 x @ x[j]``.  Only a row whose value,
+  less the rounding slack of :func:`kernels.approx_slack`, is below its
+  current ``d2`` gets its exact distance computed; any other row's exact
+  distance is at least its ``d2``, so the minimum keeps ``d2``.  While
+  ``d2`` averages within the slack the filter would pass about every row,
+  and the exact pass runs on all rows instead.
+* Lloyd.  A cluster's mean is recomputed only when its members changed
+  since its center was last their mean (seeded and repaired centers are not
+  means); an unchanged cluster would sum the same rows in the same order.
+  A row's exact distance is recomputed only when its cluster or its
+  center changed.  The assignment itself still comes from the full
+  ``x @ centers.T`` product: a product over only the moved centers'
+  columns rounds differently (a single column goes through GEMV), and its
+  argmin could break a tie another way.
 """
 
 import struct
@@ -85,28 +104,66 @@ class ElbowResult:
     j_curve: tuple
 
 
-def _seed_centers(x: np.ndarray, k: int, rng) -> np.ndarray:
+def _choice(rng, p: np.ndarray) -> int:
+    """``int(rng.choice(p.shape[0], p=p))`` for ``p = d2 / d2.sum()``, with fewer checks.
+
+    The same cumulative sum, normalization, uniform draw and search that
+    ``Generator.choice`` runs, so the same index and the same generator state.
+    Such a ``p`` sums to 1 within rounding unless ``d2.sum()`` overflowed,
+    which leaves it all 0 or NaN; that raises ValueError, as it does there.
+    """
+    cdf = p.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _closer_rows(x: np.ndarray, sqx: np.ndarray, j: int, d2: np.ndarray, slack: float,
+                 buf: np.ndarray) -> np.ndarray:
+    """Rows whose exact squared distance to ``x[j]`` may lie below their ``d2``.
+
+    One GEMV gives approximate distances ``sqx + sqx[j] - 2 x @ x[j]``; a row
+    whose value less ``slack`` (the rounding bound) reaches its ``d2`` is
+    left out, since ``np.minimum`` with its exact distance would keep ``d2``.
+    ``buf`` is a work buffer of one value per row.
+    """
+    np.matmul(x, x[j], out=buf)
+    buf *= -2.0
+    buf += sqx
+    buf += sqx[j] - slack
+    return (buf < d2).nonzero()[0]
+
+
+def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
     """K-means++ seeding: first center uniform, the rest weighted by squared distance."""
     n = x.shape[0]
     step = kernels.row_block(x.shape[1])
+    slack = kernels.approx_slack(sqx)
+    chosen = [int(rng.integers(n))]
     d2 = np.empty(n)
     # row blocks keep the temporaries in cache; each row's value is unchanged
-    blocks = [(x[s:s + step], d2[s:s + step]) for s in range(0, n, step)]
-    chosen = [int(rng.integers(n))]
-    for xb, db in blocks:
-        db[:] = ((xb - x[chosen[0]]) ** 2).sum(axis=1)
+    for s in range(0, n, step):
+        d2[s:s + step] = ((x[s:s + step] - x[chosen[0]]) ** 2).sum(axis=1)
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
+    buf = np.empty(n)
+    every = np.arange(n)
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
-            j = int(rng.choice(n, p=d2 / total))
+            j = _choice(rng, np.divide(d2, total, out=buf))
         else:
             j = int(np.flatnonzero(~taken)[0])
         chosen.append(j)
         taken[j] = True
-        for xb, db in blocks:
-            np.minimum(db, ((xb - x[j]) ** 2).sum(axis=1), out=db)
+        if total > n * slack:
+            rows = _closer_rows(x, sqx, j, d2, slack, buf)
+        else:  # d2 averages within the slack: the filter would keep about every row
+            rows = every
+        for s in range(0, rows.shape[0], step):
+            r = rows[s:s + step]
+            d2[r] = np.minimum(d2[r], ((x[r] - x[j]) ** 2).sum(axis=1))
     return x[np.array(chosen, dtype=np.int64)].copy()
 
 
@@ -126,32 +183,43 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
         raise InvalidK(f"K={K} outside [1, {n}]")
 
     rng = np.random.default_rng(seed)
-    centers = _seed_centers(x, K, rng)
     sqx = np.einsum("nd,nd->n", x, x)
+    centers = _seed_centers(x, K, rng, sqx)
     assign, d2 = kernels.kmeans_assign(x, centers, sqx)
     history = [float(d2.sum())]
+    # is_mean[k]: center k is the mean of cluster k's current members
+    is_mean = np.zeros(K, dtype=bool)
 
     for _ in range(iters_max):
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=K)
-        # each cluster's rows in ascending index order, as a boolean mask
-        # would select them, so every mean sums the same rows in the same order
-        order = np.argsort(assign, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        for k in np.flatnonzero(counts).tolist():
-            new_centers[k] = x[order[bounds[k]:bounds[k + 1]]].mean(axis=0)
-        if (counts == 0).any():
+        stale = np.flatnonzero((counts > 0) & ~is_mean).tolist()
+        if stale:
+            # each cluster's rows in ascending index order, as a boolean mask
+            # would select them, so every mean sums the same rows in the same order
+            order = np.argsort(assign, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+            for k in stale:
+                new_centers[k] = x[order[bounds[k]:bounds[k + 1]]].mean(axis=0)
+        is_mean = counts > 0
+        if not is_mean.all():
             pool = d2.copy()
-            for k in np.flatnonzero(counts == 0):
+            for k in np.flatnonzero(~is_mean):
                 j = int(np.argmax(pool))
                 new_centers[k] = x[j]
                 pool[j] = -1.0
-        new_assign, new_d2 = kernels.kmeans_assign(x, new_centers, sqx)
-        centers = new_centers
-        history.append(float(new_d2.sum()))
-        done = np.array_equal(new_assign, assign)
-        assign, d2 = new_assign, new_d2
-        if done:
+        new_assign = kernels.nearest_center(x, new_centers, sqx)
+        moved = (new_centers != centers).any(axis=1)
+        changed = new_assign != assign
+        # a row keeps its exact distance unless its center changed or moved
+        rows = np.flatnonzero(changed | moved[new_assign])
+        d2[rows] = kernels.center_d2(x, new_centers, new_assign, rows)
+        # a cluster that gained or lost a row needs a new mean
+        is_mean[assign[changed]] = False
+        is_mean[new_assign[changed]] = False
+        centers, assign = new_centers, new_assign
+        history.append(float(d2.sum()))
+        if not changed.any():
             break
 
     return Clustering(K=K, centers=centers, assignment=assign,
@@ -198,16 +266,18 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     else:
         k_star = 1
 
-    def max_dist(c: Clustering) -> float:
-        _, d2 = kernels.kmeans_assign(x, c.centers)
+    sqx = np.einsum("nd,nd->n", x, x)
+
+    def max_dist(k: int) -> float:
+        _, d2 = kernels.kmeans_assign(x, runs[k].centers, sqx)
         return float(np.sqrt(d2.max()))
 
     k = k_star
-    while max_dist(runs[k]) >= params.D and k < k_max:
+    dist = max_dist(k)
+    while dist >= params.D and k < k_max:
         k += 1
-    chosen = runs[k]
-    return ElbowResult(K=k, clustering=chosen,
-                       constraint_ok=max_dist(chosen) < params.D,
+        dist = max_dist(k)
+    return ElbowResult(K=k, clustering=runs[k], constraint_ok=dist < params.D,
                        j_curve=j_curve)
 
 
@@ -295,9 +365,9 @@ def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
 def load_clusters(path, pmap: PlaceMap):
     """Read an LPDC file and rebuild SuperKeyframes against ``pmap``.
 
-    Returns (skf, D).  Member indices must be in range, disjoint across
-    clusters, and contain their keyframe, and the centers must have the
-    map's dimension; anything else raises FormatError.
+    Returns (skf, D).  Member indices must be in range, distinct, disjoint
+    across clusters, and contain their keyframe, and the centers must have
+    the map's dimension; anything else raises FormatError.
     """
     r = fileio.Reader(path, _LPDC_MAGIC, _LPDC_VERSION)
     kk, d_thresh = r.unpack("<If")
@@ -312,7 +382,7 @@ def load_clusters(path, pmap: PlaceMap):
                           f"after the header, {r.remaining()} remain")
     keyframes = np.empty(kk, dtype=np.int64)
     members = []
-    seen = set()
+    owned = np.zeros(len(pmap), dtype=bool)
     for k in range(kk):
         keyframe, count = r.unpack("<II")
         if count == 0:
@@ -322,10 +392,13 @@ def load_clusters(path, pmap: PlaceMap):
             raise FormatError(f"{path}: member index {mem.max()} outside map of {len(pmap)}")
         if keyframe not in mem:
             raise FormatError(f"{path}: keyframe {keyframe} not a member of cluster {k}")
-        overlap = seen.intersection(mem.tolist())
-        if overlap:
-            raise FormatError(f"{path}: entry {min(overlap)} in multiple clusters")
-        seen.update(mem.tolist())
+        ordered = np.sort(mem)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.shape[0]:
+            raise FormatError(f"{path}: entry {twice[0]} listed twice in cluster {k}")
+        if owned[mem].any():
+            raise FormatError(f"{path}: entry {mem[owned[mem]].min()} in multiple clusters")
+        owned[mem] = True
         keyframes[k] = keyframe
         members.append(mem)
     rest = r.remaining()

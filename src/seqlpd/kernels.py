@@ -39,6 +39,15 @@ def row_block(d: int) -> int:
     return max(1, _BLOCK_ELEMS // max(1, d))
 
 
+def approx_slack(sq: np.ndarray) -> float:
+    """Bound on the rounding of an approximate squared distance ``sq[a] + sq[b] - 2 a.b``.
+
+    ``sq`` holds the rows' squared norms; the bound scales with the largest
+    of them and leaves a wide margin over the BLAS product's rounding.
+    """
+    return 1e-9 * (1.0 + 2.0 * float(sq.max(initial=0.0)))
+
+
 def kdtree_build(points: np.ndarray):
     """KD-tree over ``points`` (n, d) for :func:`kdtree_knn`; keeps its own copy."""
     # imported here: scipy.spatial costs ~0.35 s and ~36 MB, and runs that
@@ -137,8 +146,7 @@ def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
         return out
     sq = np.einsum("nf,nf->n", x, x)
     npre = min(kk + _KNN_SLACK, n - 1)
-    # bounds the BLAS rounding of any approximate value, with a wide margin
-    slack = 1e-9 * (1.0 + 2.0 * float(sq.max(initial=0.0)))
+    slack = approx_slack(sq)
     step = max(1, _BLOCK_ELEMS // n)
     for s in range(0, n, step):
         e = min(s + step, n)
@@ -176,6 +184,37 @@ def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.stack([dz_max, z_var, lam1 + lam2, l2d], axis=1)
 
 
+def nearest_center(x: np.ndarray, centers: np.ndarray, sqx: np.ndarray) -> np.ndarray:
+    """Nearest center per row by approximate squared distances, ties to the lower id.
+
+    ``x`` and ``centers`` are float64 and C-contiguous, and ``sqx`` is
+    ``einsum("nd,nd->n", x, x)``.  The distances come from one full
+    ``x @ centers.T`` product: a product over a subset of the columns may
+    round differently (a single column goes through GEMV), so its argmin
+    could break a tie another way.
+    """
+    sqc = np.einsum("kd,kd->k", centers, centers)
+    d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
+    return np.argmin(d2, axis=1)
+
+
+def center_d2(x: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+              rows=None) -> np.ndarray:
+    """Exact squared distance of each row, or of each of ``rows``, to its assigned center.
+
+    Runs in row blocks; a row's value does not depend on which other rows
+    are computed with it.
+    """
+    m = x.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(m, dtype=np.float64)
+    step = row_block(x.shape[1])
+    for s in range(0, m, step):
+        sel = slice(s, s + step) if rows is None else rows[s:s + step]
+        diff = x[sel] - centers[assign[sel]]
+        out[s:s + step] = np.einsum("nd,nd->n", diff, diff)
+    return out
+
+
 def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
     """Nearest-center assignment (ties to the lower cluster id) and exact squared distances.
 
@@ -186,15 +225,8 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if sqx is None:
         sqx = np.einsum("nd,nd->n", x, x)
-    sqc = np.einsum("kd,kd->k", centers, centers)
-    d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
-    assign = np.argmin(d2, axis=1)
-    exact = np.empty(x.shape[0], dtype=np.float64)
-    step = row_block(x.shape[1])
-    for s in range(0, x.shape[0], step):
-        diff = x[s:s + step] - centers[assign[s:s + step]]
-        exact[s:s + step] = np.einsum("nd,nd->n", diff, diff)
-    return assign, exact
+    assign = nearest_center(x, centers, sqx)
+    return assign, center_d2(x, centers, assign)
 
 
 def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:

@@ -42,8 +42,18 @@ def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
 
 
 def _top_n(query_descs: np.ndarray, db_descs: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n nearest database rows per query, ties to lower index."""
-    return kernels._topk_rows(kernels.pairwise_l2(query_descs, db_descs), n)
+    """Indices of the n nearest database rows per query, ties to lower index.
+
+    ``db_descs`` (the map's float32 view) is widened to float64 one row block
+    at a time, so no float64 copy of the whole map is made; each distance is
+    the one :func:`kernels.pairwise_l2` gives against the whole widened map.
+    """
+    dist = np.empty((query_descs.shape[0], db_descs.shape[0]))
+    step = kernels.row_block(db_descs.shape[1])
+    for s in range(0, db_descs.shape[0], step):
+        dist[:, s:s + step] = kernels.pairwise_l2(query_descs,
+                                                  db_descs[s:s + step].astype(np.float64))
+    return kernels._topk_rows(dist, n)
 
 
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
@@ -55,7 +65,7 @@ def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
         raise InvalidParams("N must be >= 1")
     q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)
-    top = _top_n(q, db.descriptor_matrix().astype(np.float64), min(n, len(db)))
+    top = _top_n(q, db.descriptor_matrix(), min(n, len(db)))
     hits = 0
     evaluated = 0
     for qi, pos in enumerate(positives):
@@ -93,7 +103,7 @@ def seq_protocol(query_runs, db: PlaceMap, gt_radius: float,
     runs = list(query_runs)
     if not runs:
         return 0.0
-    db_desc = db.descriptor_matrix().astype(np.float64)
+    db_desc = db.descriptor_matrix()
     db_poses = db.pose_matrix()
     correct = 0
     for descs, poses in runs:

@@ -224,71 +224,81 @@ def orthogonal_to(rows: np.ndarray, rng, count: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def _assign_oracle(x, centers):
+    """Nearest center by the unblocked GEMM argmin, with exact distances to it."""
+    sqx = np.einsum("nd,nd->n", x, x)
+    sqc = np.einsum("kd,kd->k", centers, centers)
+    d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
+    assign = np.argmin(d2, axis=1)
+    diff = x - centers[assign]
+    return assign, np.einsum("nd,nd->n", diff, diff)
+
+
+def kmeans_oracle(descriptors, k_count: int, run_seed: int, iters_max: int = 100):
+    """One seeded K-means run written as the one-thread, unblocked original.
+
+    K-means++ seeding with ``Generator.choice`` and a full distance pass per
+    center, then Lloyd refinement that recomputes every mean (boolean masks)
+    and every distance, with the farthest-point empty-cluster repair.
+    Returns (centers, assignment, history).
+    """
+    x = np.ascontiguousarray(descriptors, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(run_seed)
+    chosen = [int(rng.integers(n))]
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen[0]] = True
+    for _ in range(1, k_count):
+        total = float(d2.sum())
+        if total > 0.0:
+            j = int(rng.choice(n, p=d2 / total))
+        else:
+            j = int(np.flatnonzero(~taken)[0])
+        chosen.append(j)
+        taken[j] = True
+        d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
+    centers = x[np.array(chosen, dtype=np.int64)].copy()
+    assign, d2 = _assign_oracle(x, centers)
+    history = [float(d2.sum())]
+    for _ in range(iters_max):
+        new_centers = centers.copy()
+        counts = np.bincount(assign, minlength=k_count)
+        for k in range(k_count):
+            if counts[k] > 0:
+                new_centers[k] = x[assign == k].mean(axis=0)
+        if (counts == 0).any():
+            pool = d2.copy()
+            for k in np.flatnonzero(counts == 0):
+                j = int(np.argmax(pool))
+                new_centers[k] = x[j]
+                pool[j] = -1.0
+        new_assign, new_d2 = _assign_oracle(x, new_centers)
+        centers = new_centers
+        history.append(float(new_d2.sum()))
+        done = np.array_equal(new_assign, assign)
+        assign, d2 = new_assign, new_d2
+        if done:
+            break
+    return centers, assign, tuple(history)
+
+
 def elbow_oracle(descriptors, D: float, K_max: int = 25, iters_max: int = 100,
                  seed: int = 0):
     """Sequential elbow selection written as the one-thread, unblocked original.
 
-    K-means++ seeding, Lloyd refinement with boolean-mask means and the
-    farthest-point empty-cluster repair, best of three seeded restarts per K
-    (strict ``<``), the second-difference elbow and the D-ceiling growth.
+    :func:`kmeans_oracle` runs, best of three seeded restarts per K (strict
+    ``<``), the second-difference elbow and the D-ceiling growth.
     Returns (K, j_curve, constraint_ok, centers, assignment, history).
     """
     x = np.ascontiguousarray(descriptors, dtype=np.float64)
-
-    def assign_to(centers):
-        sqx = np.einsum("nd,nd->n", x, x)
-        sqc = np.einsum("kd,kd->k", centers, centers)
-        d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
-        assign = np.argmin(d2, axis=1)
-        diff = x - centers[assign]
-        return assign, np.einsum("nd,nd->n", diff, diff)
-
-    def kmeans(k_count, run_seed):
-        n = x.shape[0]
-        rng = np.random.default_rng(run_seed)
-        chosen = [int(rng.integers(n))]
-        d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-        taken = np.zeros(n, dtype=bool)
-        taken[chosen[0]] = True
-        for _ in range(1, k_count):
-            total = float(d2.sum())
-            if total > 0.0:
-                j = int(rng.choice(n, p=d2 / total))
-            else:
-                j = int(np.flatnonzero(~taken)[0])
-            chosen.append(j)
-            taken[j] = True
-            d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
-        centers = x[np.array(chosen, dtype=np.int64)].copy()
-        assign, d2 = assign_to(centers)
-        history = [float(d2.sum())]
-        for _ in range(iters_max):
-            new_centers = centers.copy()
-            counts = np.bincount(assign, minlength=k_count)
-            for k in range(k_count):
-                if counts[k] > 0:
-                    new_centers[k] = x[assign == k].mean(axis=0)
-            if (counts == 0).any():
-                pool = d2.copy()
-                for k in np.flatnonzero(counts == 0):
-                    j = int(np.argmax(pool))
-                    new_centers[k] = x[j]
-                    pool[j] = -1.0
-            new_assign, new_d2 = assign_to(new_centers)
-            centers = new_centers
-            history.append(float(new_d2.sum()))
-            done = np.array_equal(new_assign, assign)
-            assign, d2 = new_assign, new_d2
-            if done:
-                break
-        return centers, assign, tuple(history)
 
     k_max = min(K_max, x.shape[0])
     runs = {}
     for k in range(1, k_max + 1):
         best = None
         for r in range(3):
-            run = kmeans(k, seed + 1000 * k + r)
+            run = kmeans_oracle(x, k, seed + 1000 * k + r, iters_max)
             if best is None or run[2][-1] < best[2][-1]:
                 best = run
         runs[k] = best
@@ -300,7 +310,7 @@ def elbow_oracle(descriptors, D: float, K_max: int = 25, iters_max: int = 100,
         k_star = 1
 
     def max_dist(run):
-        return float(np.sqrt(assign_to(run[0])[1].max()))
+        return float(np.sqrt(_assign_oracle(x, run[0])[1].max()))
 
     k = k_star
     while max_dist(runs[k]) >= D and k < k_max:

@@ -1,16 +1,19 @@
+import struct
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from seqlpd import _accel, cluster, placemap
+from seqlpd import _accel, cluster, kernels, placemap
 from seqlpd.cloud import Pose
 from seqlpd.errors import (FormatError, InvalidCluster, InvalidK, InvalidParams)
 
-from oracles import (elbow_oracle, kmeans_assign_oracle, knn_oracle, random_unit,
-                     two_partition_oracle)
+from oracles import (elbow_oracle, kmeans_assign_oracle, kmeans_oracle, knn_oracle,
+                     random_unit, two_partition_oracle)
 
 
 def _blobs(rng, n_per=30, dim=256, sep=1.0, sigma=0.01, k=3):
@@ -89,6 +92,106 @@ def test_kmeanspp_same_seed_same_result():
     b = cluster.kmeanspp(x, K=5, seed=77)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     np.testing.assert_array_equal(a.centers, b.centers)
+
+
+_KINDS = ("normal", "identical", "rounded", "duplicated", "tiny", "huge")
+
+
+def _kmeans_input(kind, n, d, seed):
+    """An (n, d) matrix of one kind: normal rows; one row repeated (every
+    distance 0); rows on a half-integer grid (exact distance ties); a few
+    distinct rows repeated (duplicate centers leave clusters empty); rows of
+    norm near 1e-6 (the slack dwarfs every distance); or rows of norm near
+    1e6, in groups 1e3 apart whose members lie 1e-3 apart (below the
+    rounding of the approximate distances, which the slack must cover)."""
+    rng = np.random.default_rng(seed)
+    if kind == "identical":
+        return np.tile(rng.normal(size=d), (n, 1))
+    if kind == "rounded":
+        return np.round(2.0 * rng.normal(size=(n, d))) / 2.0
+    if kind == "duplicated":
+        return rng.normal(size=(3, d))[rng.integers(0, 3, size=n)]
+    if kind == "tiny":
+        return 1e-6 * rng.normal(size=(n, d))
+    if kind == "huge":
+        groups = 1e6 * rng.normal(size=d) / np.sqrt(d) + 1e3 * rng.normal(size=(3, d))
+        return groups[rng.integers(0, 3, size=n)] + 1e-3 * rng.normal(size=(n, d))
+    return rng.normal(size=(n, d))
+
+
+@st.composite
+def _kmeans_case(draw):
+    n = draw(st.integers(1, 40))
+    x = _kmeans_input(draw(st.sampled_from(_KINDS)), n, draw(st.sampled_from([1, 2, 3, 8, 32])),
+                      draw(st.integers(0, 2 ** 32 - 1)))
+    return (x, draw(st.integers(1, n)), draw(st.integers(0, 10 ** 6)),
+            draw(st.sampled_from([1, 2, 100])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_kmeans_case())
+@example(case=(_kmeans_input("identical", 24, 256, 1), 24, 3, 100))
+@example(case=(_kmeans_input("huge", 60, 256, 2), 12, 4, 100))
+@example(case=(_kmeans_input("rounded", 30, 256, 3), 30, 5, 2))
+@example(case=(_kmeans_input("normal", 1, 4, 4), 1, 6, 1))
+def test_kmeanspp_equals_the_oracle_bit_for_bit(case):
+    x, k, seed, iters_max = case
+    c = cluster.kmeanspp(x, K=k, seed=seed, iters_max=iters_max)
+    centers, assignment, history = kmeans_oracle(x, k, seed, iters_max)
+    assert c.centers.tobytes() == centers.tobytes()
+    np.testing.assert_array_equal(c.assignment, assignment)
+    assert c.history == history
+    assert c.distortion == history[-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_kmeans_case(), shift=st.sampled_from(["tie", "above", "below", "other"]))
+def test_seeding_prefilter_leaves_out_only_rows_that_keep_d2(case, shift):
+    x, _, seed, _ = case
+    x = np.ascontiguousarray(x)
+    j = seed % x.shape[0]
+    exact = ((x - x[j]) ** 2).sum(axis=1)
+    # d2 tied with the exact distance, one ulp either side of it, or the
+    # distance to another row, as the seeding would hold it
+    d2 = {"tie": exact, "above": np.nextafter(exact, np.inf),
+          "below": np.nextafter(exact, -np.inf).clip(0.0),
+          "other": ((x - x[(seed // 7) % x.shape[0]]) ** 2).sum(axis=1)}[shift]
+    sqx = np.einsum("nd,nd->n", x, x)
+    rows = cluster._closer_rows(x, sqx, j, d2, kernels.approx_slack(sqx), np.empty(x.shape[0]))
+    left_out = np.ones(x.shape[0], dtype=bool)
+    left_out[rows] = False
+    assert (exact[left_out] >= d2[left_out]).all()
+
+
+@pytest.mark.parametrize("p", [
+    [0.1, 0.2, 0.3, 0.4],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.5, 0.0, 0.0, 0.5],
+    [0.0, 0.25, 0.0, 0.75, 0.0],
+    [1.0],
+], ids=["dense", "one", "ends", "zeros-between", "single"])
+def test_inline_choice_draws_what_generator_choice_draws(p):
+    p = np.asarray(p, dtype=np.float64)
+    for seed in range(20):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            assert cluster._choice(ours, p) == int(ref.choice(p.shape[0], p=p))
+        assert ours.bit_generator.state == ref.bit_generator.state
+    rng = np.random.default_rng(9)
+    for _ in range(50):  # weights as the seeding makes them: d2 / d2.sum()
+        d2 = rng.random(int(rng.integers(1, 40))) ** 4
+        d2[rng.random(d2.shape[0]) < 0.3] = 0.0
+        if d2.sum() == 0.0:
+            continue
+        seed = int(rng.integers(2 ** 31))
+        w = d2 / d2.sum()
+        assert (cluster._choice(np.random.default_rng(seed), w)
+                == int(np.random.default_rng(seed).choice(w.shape[0], p=w)))
+    for bad in ([0.0, 0.0], [np.nan, 1.0]):  # what d2 / d2.sum() is when the sum overflowed
+        for draw in (lambda: cluster._choice(np.random.default_rng(0), np.array(bad)),
+                     lambda: np.random.default_rng(0).choice(2, p=bad)):
+            with pytest.raises(ValueError):
+                draw()
 
 
 def test_elbow_three_blobs():
@@ -423,6 +526,12 @@ def test_lpdc_corrupt_fixtures(tmp_path):
         cluster.load_clusters(bad, pm)
     bad.write_bytes(blob + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
+        cluster.load_clusters(bad, pm)
+    # one cluster listing entry 0 twice: [0, 0, 1] on a 12-entry map
+    bad.write_bytes(b"LPDC" + struct.pack("<IIf", 1, 1, 0.5) + struct.pack("<II", 0, 3)
+                    + np.array([0, 0, 1], dtype="<u4").tobytes()
+                    + np.zeros(256, dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match="entry 0 listed twice in cluster 0"):
         cluster.load_clusters(bad, pm)
 
 

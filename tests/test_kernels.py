@@ -249,6 +249,8 @@ def test_blocked_distance_passes_match_unblocked_formula():
     assert d2.tobytes() == np.einsum("nd,nd->n", diff, diff).tobytes()
     a_ref, _ = kmeans_assign_oracle(ref[::7], centers)
     np.testing.assert_array_equal(assign[::7], a_ref)
+    rows = np.arange(1, ref.shape[0], 2)  # 768 rows: one full block and a part
+    assert kernels.center_d2(ref, centers, assign, rows).tobytes() == d2[rows].tobytes()
     assign, d2 = kernels.kmeans_assign(np.empty((0, 256)), centers)
     assert assign.shape == d2.shape == (0,)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,26 @@ def test_seq_protocol_run_length_enforced():
         metrics.seq_protocol([(descs[:4], poses[:4])], pm, 1.0)
     with pytest.raises(InvalidParams):
         metrics.seq_protocol([(descs[:5], poses[:5])], pm, 1.0, min_successes=0)
+
+
+def test_metrics_make_no_float64_copy_of_the_map():
+    rng = np.random.default_rng(10)
+    pm, descs, poses = _corpus(rng, n=4096, dim=256)
+    copy_bytes = 4096 * 256 * 8
+    q = descs[[7, 2048, 4095]]
+    runs = [(descs[i:i + 5], poses[i:i + 5]) for i in (0, 1000, 4000)]
+    want_recall = retrieval_oracle(q, poses[[7, 2048, 4095]], descs, poses, 1.0, 1)[0]
+    tracemalloc.start()
+    try:
+        got_recall = metrics.recall_at_n(q, poses[[7, 2048, 4095]], pm, 1.0, 1).percentage
+        recall_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got_seq = metrics.seq_protocol(runs, pm, 1.0)
+        seq_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got_recall, got_seq) == (want_recall, 100.0)
+    assert recall_peak < copy_bytes and seq_peak < copy_bytes
 
 
 def test_report_lines_format():
