@@ -17,7 +17,8 @@ from . import cluster as cluster_mod
 from . import config as config_mod
 from . import fileio, metrics, net, placemap, seqmatch, synth
 from ._accel import run_jobs, thread_count
-from .cloud import Pose, accumulate_submap, load_csv, load_kitti_bin, normalize_submap
+from .cloud import (DEFAULT_TRAJECTORY_LEN, Pose, accumulate_submap, load_csv,
+                    load_kitti_bin, normalize_submap)
 from .errors import (EmptyInput, FormatError, InsufficientHistory, InvalidParams,
                      IoError, SeqLPDError)
 from .features import local_features
@@ -72,18 +73,14 @@ def _load_poses(input_dir):
     return poses
 
 
-def _net_config(cfg: config_mod.Config) -> net.NetConfig:
-    return net.NetConfig(k_graph=cfg.k_graph, vlad_clusters=cfg.vlad_clusters,
-                         descriptor_dim=cfg.descriptor_dim)
-
-
-def _describe_dir(input_dir, cfg: config_mod.Config, ws):
+def _describe_dir(input_dir, cfg: config_mod.Config, model):
     """Load, accumulate, normalize and describe every frame of a directory.
 
-    Returns (frame_ids, poses, descriptors, stats) where stats holds
-    (point_count, seconds) per frame.  Frames are jobs of ``run_jobs``, capped
-    by SEQLPD_THREADS; each frame is independent, so any worker count yields
-    identical descriptors.
+    ``model`` is None for the baseline descriptor, else (weights, NetConfig)
+    from :func:`_load_net`.  Returns (frame_ids, poses, descriptors, stats)
+    where stats holds (point_count, seconds) per frame.  Frames are jobs of
+    ``run_jobs``, capped by SEQLPD_THREADS; each frame is independent, so any
+    worker count yields identical descriptors.
     """
     names = _list_frames(input_dir)
     pose_table = _load_poses(input_dir)
@@ -104,20 +101,16 @@ def _describe_dir(input_dir, cfg: config_mod.Config, ws):
     else:
         poses = [Pose(0.0, 0.0, 0.0, fid) for fid in ids]
 
-    netcfg = _net_config(cfg)
-
     def job(i: int):
         t0 = time.perf_counter()
         if pose_table is not None:
-            pc = accumulate_submap(clouds[:i + 1], poses[:i + 1], 20.0)
+            pc = accumulate_submap(clouds[:i + 1], poses[:i + 1], DEFAULT_TRAJECTORY_LEN)
         else:
             pc = clouds[i]
         sub = normalize_submap(pc, cfg.n_sub, seed=cfg.seed + i)
         lf = local_features(sub, cfg.k_local)
-        if ws is None:
-            desc = net.baseline_descriptor(sub, lf)
-        else:
-            desc = net.describe(sub, lf, ws, netcfg)
+        desc = (net.baseline_descriptor(sub, lf) if model is None
+                else net.describe(sub, lf, *model))
         return desc, (len(pc), time.perf_counter() - t0)
 
     results = run_jobs(job, range(len(clouds)), thread_count())
@@ -136,16 +129,18 @@ def _build_config(args) -> config_mod.Config:
     return config_mod.apply(cfg, overrides).validate()
 
 
-def _load_ws(args, cfg: config_mod.Config):
-    if getattr(args, "baseline", False):
+def _load_net(args, cfg: config_mod.Config):
+    """(weights, NetConfig) with the widths of the weight file, or None for --baseline."""
+    if args.baseline:
         return None
-    return net.load_weights(args.weights, _net_config(cfg))
+    ws = net.load_weights(args.weights)
+    return ws, net.fit_widths(ws, cfg.net_config())
 
 
 def cmd_describe(args) -> int:
     cfg = _build_config(args)
-    ws = _load_ws(args, cfg)
-    ids, poses, descs, stats = _describe_dir(args.input, cfg, ws)
+    model = _load_net(args, cfg)
+    ids, poses, descs, stats = _describe_dir(args.input, cfg, model)
     pmap = placemap.PlaceMap()
     for fid, pose, desc, (npts, dt) in zip(ids, poses, descs, stats):
         pmap.insert(placemap.PlaceEntry(fid, pose, desc))
@@ -156,9 +151,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = _build_config(args)
-    if cfg.D is None:
-        raise InvalidParams("D is required (flag --D or config key D)")
+    params = _build_config(args).cluster_params()
     pmap = placemap.load(args.map)
     if len(pmap) == 0:
         raise EmptyInput("empty place map")
@@ -169,12 +162,11 @@ def cmd_cluster(args) -> int:
                                             distortion=0.0, history=(0.0,))
         constraint_ok = True
     else:
-        res = cluster_mod.elbow_select(
-            desc, cluster_mod.ClusterParams(D=cfg.D, K_max=cfg.K_max, seed=cfg.seed))
+        res = cluster_mod.elbow_select(desc, params)
         clustering = res.clustering
         constraint_ok = res.constraint_ok
     skf = cluster_mod.super_keyframes(pmap, clustering)
-    cluster_mod.save_clusters(skf, cfg.D, args.out)
+    cluster_mod.save_clusters(skf, params.D, args.out)
     flag = "true" if constraint_ok else "false"
     print(f"K={clustering.K} distortion={clustering.distortion:.6f} constraint_ok={flag}")
     fids = pmap.frame_ids()
@@ -186,15 +178,13 @@ def cmd_cluster(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = _build_config(args)
-    ws = _load_ws(args, cfg)
+    params = cfg.match_params()
+    model = _load_net(args, cfg)
     pmap = placemap.load(args.map)
     skf, _ = cluster_mod.load_clusters(args.clusters, pmap)
-    qids, _, qdescs, _ = _describe_dir(args.query, cfg, ws)
+    qids, _, qdescs, _ = _describe_dir(args.query, cfg, model)
     if len(qdescs) < cfg.W:
         raise InsufficientHistory(f"{len(qdescs)} query frames, need at least W={cfg.W}")
-    params = seqmatch.MatchParams(W=cfg.W, v_min=cfg.v_min, v_max=cfg.v_max,
-                                  v_step=cfg.v_step, accept_ratio=cfg.accept_ratio,
-                                  mirror=cfg.mirror)
     if args.diffmat:
         m = seqmatch.difference_matrix(np.stack(qdescs), pmap.descriptor_matrix())
         if args.diffmat.endswith(".csv"):
@@ -216,11 +206,11 @@ def cmd_eval(args) -> int:
     cfg = _build_config(args)
     if cfg.gt_radius is None:
         raise InvalidParams("gt_radius is required (flag --gt-radius or config key gt_radius)")
-    ws = _load_ws(args, cfg)
+    model = _load_net(args, cfg)
     pmap = placemap.load(args.map)
     if not os.path.exists(os.path.join(args.query, "poses.csv")):
         raise InvalidParams("query poses.csv is required for evaluation")
-    qids, qposes, qdescs, _ = _describe_dir(args.query, cfg, ws)
+    qids, qposes, qdescs, _ = _describe_dir(args.query, cfg, model)
     try:
         n_list = [int(v) for v in args.n.split(",") if v.strip()]
     except ValueError:
@@ -262,8 +252,6 @@ def _add_describe_flags(p):
     p.add_argument("--n-sub", type=int, default=None, dest="n_sub")
     p.add_argument("--k-local", type=int, default=None, dest="k_local")
     p.add_argument("--k-graph", type=int, default=None, dest="k_graph")
-    p.add_argument("--vlad-clusters", type=int, default=None, dest="vlad_clusters")
-    p.add_argument("--descriptor-dim", type=int, default=None, dest="descriptor_dim")
     p.add_argument("--seed", type=int, default=None)
 
 

@@ -54,6 +54,13 @@ _LPDC_VERSION = 1
 # below this many matrix elements (about 1,024 rows at d = 256) a restart is
 # Python-bound, and threads would only contend for the GIL
 _POOL_MIN_SIZE = 1 << 18
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _check_ceiling(D: float) -> None:
+    """The rule for D, in (0, float32 max], as the LPDC file stores D as float32."""
+    if not 0.0 < D <= _F32_MAX:
+        raise InvalidParams(f"D must be in (0, {_F32_MAX:.7g}]")
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,13 @@ class ClusterParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.D > 0.0:
-            raise InvalidParams("D must be > 0")
+        _check_ceiling(self.D)
         if self.K_max < 1:
             raise InvalidParams("K_max must be >= 1")
         if self.iters_max < 1:
             raise InvalidParams("iters_max must be >= 1")
+        if self.seed < 0:
+            raise InvalidParams("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,8 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
 
     An empty cluster is repaired by re-seeding its center at the point
     farthest from its own center (each repair consumes its point).  Raises
-    InvalidK unless 1 <= K <= N.
+    InvalidK unless 1 <= K <= N, and InvalidParams on a row that is not
+    finite or whose squared norm overflows.
     """
     x = np.ascontiguousarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -184,6 +193,8 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     sqx = np.einsum("nd,nd->n", x, x)
+    if not np.isfinite(sqx).all():
+        raise InvalidParams("descriptor rows must be finite, with finite squared norms")
     centers = _seed_centers(x, K, rng, sqx)
     assign, d2 = kernels.kmeans_assign(x, centers, sqx)
     history = [float(d2.sum())]
@@ -266,10 +277,9 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     else:
         k_star = 1
 
-    sqx = np.einsum("nd,nd->n", x, x)
-
     def max_dist(k: int) -> float:
-        _, d2 = kernels.kmeans_assign(x, runs[k].centers, sqx)
+        # a clustering's assignment is already its centers' nearest-center assignment
+        d2 = kernels.center_d2(x, runs[k].centers, runs[k].assignment)
         return float(np.sqrt(d2.max()))
 
     k = k_star
@@ -351,8 +361,9 @@ def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
     Layout (little-endian): magic "LPDC", u32 version=1, u32 K, f32 D; per
     cluster u32 keyframe entry index, u32 member count, member entry indices
     as u32; then centers as K x dim f32, dim being the map's descriptor
-    dimension.  KD-trees are not stored.
+    dimension.  KD-trees are not stored.  D must pass the ClusterParams rule.
     """
+    _check_ceiling(D)
     with fileio.writing(path) as fh:
         fh.write(struct.pack("<4sIIf", _LPDC_MAGIC, _LPDC_VERSION, skf.K, D))
         for k in range(skf.K):

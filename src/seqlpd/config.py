@@ -4,63 +4,63 @@ Values come from defaults, then an optional ``key = value`` config file,
 then command-line flags, in that order.  Unknown keys are rejected.  D (the
 clustering distance ceiling) and gt_radius (the evaluation positive radius)
 have no sensible defaults and stay None until provided.
+A key that a stage object (``NetConfig``, ``MatchParams``, ``ClusterParams``)
+owns takes its default from it and is checked by building it.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fileio
+from . import cluster, fileio, net, seqmatch
 from .errors import FormatError, InvalidParams
 
-_F32_MAX = float(np.finfo(np.float32).max)
+_MATCH = seqmatch.MatchParams
 
 
 @dataclass(frozen=True)
 class Config:
     k_local: int = 20
-    k_graph: int = 20
+    k_graph: int = net.NetConfig.k_graph
     n_sub: int = 4096
-    descriptor_dim: int = 256
-    vlad_clusters: int = 64
-    W: int = 10
-    v_min: float = 0.8
-    v_max: float = 1.2
-    v_step: float = 0.1
-    accept_ratio: float = 0.8
+    W: int = _MATCH.W
+    v_min: float = _MATCH.v_min
+    v_max: float = _MATCH.v_max
+    v_step: float = _MATCH.v_step
+    accept_ratio: float = _MATCH.accept_ratio
     D: float = None
-    K_max: int = 25
+    K_max: int = cluster.ClusterParams.K_max
     gt_radius: float = None
     seed: int = 0
     min_successes: int = 3
-    mirror: bool = False
+    mirror: bool = _MATCH.mirror
+
+    def net_config(self) -> net.NetConfig:
+        """The net's hyperparameters; ``net.fit_widths`` sets its widths from the weights."""
+        return net.NetConfig(k_graph=self.k_graph)
+
+    def match_params(self) -> seqmatch.MatchParams:
+        return seqmatch.MatchParams(W=self.W, v_min=self.v_min, v_max=self.v_max,
+                                    v_step=self.v_step, accept_ratio=self.accept_ratio,
+                                    mirror=self.mirror)
+
+    def cluster_params(self) -> cluster.ClusterParams:
+        if self.D is None:
+            raise InvalidParams("D is required (flag --D or config key D)")
+        return cluster.ClusterParams(D=self.D, K_max=self.K_max, seed=self.seed)
 
     def validate(self) -> "Config":
+        self.net_config()
+        self.match_params()
+        if self.D is None:
+            if self.K_max < 1:
+                raise InvalidParams("K_max must be >= 1")
+        else:
+            self.cluster_params()
         if self.k_local < 2:
             raise InvalidParams("k_local must be >= 2")
-        if self.k_graph < 1:
-            raise InvalidParams("k_graph must be >= 1")
         if self.n_sub < 1:
             raise InvalidParams("n_sub must be >= 1")
-        if self.descriptor_dim < 1:
-            raise InvalidParams("descriptor_dim must be >= 1")
-        if self.vlad_clusters < 1:
-            raise InvalidParams("vlad_clusters must be >= 1")
-        if self.W < 1:
-            raise InvalidParams("W must be >= 1")
-        if not 0.0 < self.v_min <= self.v_max:
-            raise InvalidParams("need 0 < v_min <= v_max")
-        if self.v_step <= 0.0:
-            raise InvalidParams("v_step must be > 0")
-        if not 0.0 < self.accept_ratio < 1.0:
-            raise InvalidParams("accept_ratio must be in (0, 1)")
-        # D is stored as float32 in the LPDC file
-        if self.D is not None and not 0.0 < self.D <= _F32_MAX:
-            raise InvalidParams(f"D must be in (0, {_F32_MAX:.7g}]")
-        if self.K_max < 1:
-            raise InvalidParams("K_max must be >= 1")
         if self.gt_radius is not None and not 0.0 < self.gt_radius < math.inf:
             raise InvalidParams("gt_radius must be finite and > 0")
         if not 1 <= self.min_successes <= 5:

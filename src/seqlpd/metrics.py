@@ -33,8 +33,8 @@ class RecallResult:
 def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
                  gt_radius: float) -> list:
     """Per query: database indices within gt_radius of the query pose."""
-    if not gt_radius > 0.0:
-        raise InvalidParams("gt_radius must be > 0")
+    if not 0.0 < gt_radius < math.inf:
+        raise InvalidParams("gt_radius must be finite and > 0")
     q = np.asarray(query_poses, dtype=np.float64).reshape(-1, 3)
     db = np.asarray(db_poses, dtype=np.float64).reshape(-1, 3)
     dists = kernels.pairwise_l2(q, db)

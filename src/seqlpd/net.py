@@ -17,7 +17,7 @@ pipeline tests.  Descriptors are plain float32 numpy vectors.
 import math
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,6 +173,17 @@ def load_weights(path, config: NetConfig = None) -> WeightSet:
     if config is not None:
         ws.validate(config)
     return ws
+
+
+def fit_widths(ws: WeightSet, config: NetConfig) -> NetConfig:
+    """``config`` with the NetVLAD cluster count and descriptor width of ``ws``
+    (the first dims of ``vlad.centers`` and ``vlad.proj.b``), validated against ``ws``."""
+    c, d = ws["vlad.centers"].shape, ws["vlad.proj.b"].shape
+    if len(c) == 0 or len(d) == 0 or min(c[0], d[0]) < 1:
+        raise ShapeError(f"tensors 'vlad.centers' {c} and 'vlad.proj.b' {d} need a first dim >= 1")
+    fitted = replace(config, vlad_clusters=c[0], descriptor_dim=d[0])
+    ws.validate(fitted)
+    return fitted
 
 
 def random_weights(config: NetConfig, seed: int) -> WeightSet:

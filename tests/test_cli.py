@@ -129,11 +129,10 @@ def test_match_diffmat_exports(corpus, tmp_path, capsys):
 
 
 def test_128d_descriptors_cluster_and_match(corpus, tmp_path, capsys):
-    """The LPDC centers take the map's descriptor width."""
+    """The net takes its width from the weight file, the LPDC centers the map's."""
     weights = tmp_path / "w128.lpdw"
     net.save_weights(net.random_weights(net.NetConfig(descriptor_dim=128), seed=0), weights)
-    flags = ["--weights", str(weights), "--descriptor-dim", "128",
-             "--n-sub", "128", "--k-local", "8"]
+    flags = ["--weights", str(weights), "--n-sub", "128", "--k-local", "8"]
     mpath, cpath = tmp_path / "m.lpdm", tmp_path / "m.lpdc"
     assert cli.main(["describe", str(corpus / "c" / "map"), "-o", str(mpath)] + flags) == 0
     assert placemap.load(mpath).dim == 128
@@ -344,6 +343,37 @@ def test_unbounded_velocities_are_invalid_params(corpus, capsys):
                capsys, "InvalidParams")
     # W = 1 has no offset to overflow; the velocity grid would have 1e301 steps
     _one_error(base + ["--W", "1", "--v-max", "1e300"], capsys, "InvalidParams")
+
+
+@pytest.mark.parametrize("bad", [["--v-step", "nan"], ["--v-max", "inf"],
+                                 ["--W", "1", "--v-step", "1e-300"]])
+def test_match_rejects_bad_grid_before_describing(corpus, capsys, monkeypatch, bad):
+    calls = []
+    describe_dir = cli._describe_dir
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return describe_dir(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_describe_dir", spy)
+    _one_error(["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
+                str(corpus / "c" / "query")] + DESCRIBE_FLAGS + bad, capsys, "InvalidParams")
+    assert calls == []
+
+
+@pytest.mark.parametrize("tensors", [
+    {"vlad.proj.b": np.zeros(256)},                              # no vlad.centers
+    {"vlad.centers": np.zeros((64, 1024))},                      # no vlad.proj.b
+    {"vlad.centers": np.float32(1.0), "vlad.proj.b": np.zeros(256)},
+    {"vlad.centers": np.zeros((64, 1024)), "vlad.proj.b": np.float32(1.0)},
+    {"vlad.centers": np.zeros((0, 1024)), "vlad.proj.b": np.zeros(256)},
+])
+def test_weight_widths_need_vlad_tensors_with_rows(corpus, tmp_path, capsys, tensors):
+    weights = tmp_path / "w.lpdw"
+    net.save_weights(net.WeightSet(tensors), weights)
+    err = _one_error(["describe", str(corpus / "c" / "map"), "-o", str(tmp_path / "m.lpdm"),
+                      "--weights", str(weights)], capsys, "ShapeError")
+    assert "vlad." in err
 
 
 def test_non_decimal_digit_stem_takes_the_frame_index(corpus, tmp_path, capsys):

@@ -233,6 +233,22 @@ def test_elbow_validates_params():
         cluster.ClusterParams(D=1.0, K_max=0)
     with pytest.raises(InvalidParams):
         cluster.elbow_select(np.zeros((1, 4)), cluster.ClusterParams(D=1.0))
+    # the LPDC file stores D as float32
+    for D in (1e39, float("inf"), float("nan")):
+        with pytest.raises(InvalidParams, match="D must be in"):
+            cluster.ClusterParams(D=D)
+    with pytest.raises(InvalidParams, match="seed"):
+        cluster.ClusterParams(D=1.0, seed=-5000)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_rows_are_invalid_params(bad):
+    x = random_unit(np.random.default_rng(4), 12, 8).astype(np.float64)
+    x[5, 3] = bad  # 1e200 is finite, but its squared norm overflows
+    with pytest.raises(InvalidParams, match="finite"):
+        cluster.kmeanspp(x, K=3, seed=0)
+    with pytest.raises(InvalidParams, match="finite"):
+        cluster.elbow_select(x, cluster.ClusterParams(D=1.0, K_max=4))
 
 
 def _elbow_input(kind, n, seed):
@@ -497,6 +513,11 @@ def test_lpdc_round_trip(tmp_path):
     path2 = tmp_path / "c2.lpdc"
     cluster.save_clusters(back, d, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a D that float32 cannot hold is refused before the file is opened
+    for D in (1e39, 0.0, float("nan")):
+        with pytest.raises(InvalidParams, match="D must be in"):
+            cluster.save_clusters(skf, D, tmp_path / "bad.lpdc")
+    assert not (tmp_path / "bad.lpdc").exists()
     # rebuilt trees answer queries identically
     q = rng.normal(size=256)
     for k in range(skf.K):

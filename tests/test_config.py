@@ -1,15 +1,20 @@
+import dataclasses
+
 import pytest
 
 from seqlpd import config
+from seqlpd.cluster import ClusterParams
 from seqlpd.config import Config
 from seqlpd.errors import FormatError, InvalidParams, IoError
+from seqlpd.net import NetConfig
+from seqlpd.seqmatch import MatchParams
 
 
 def test_defaults_validate():
     cfg = Config().validate()
     assert cfg.k_local == 20
     assert cfg.n_sub == 4096
-    assert cfg.descriptor_dim == 256
+    assert len(dataclasses.fields(Config)) == 14
     assert cfg.W == 10
     assert cfg.accept_ratio == 0.8
     assert cfg.D is None and cfg.gt_radius is None
@@ -89,6 +94,8 @@ def test_missing_file_is_io_error(tmp_path):
     {"D": 0.0}, {"gt_radius": -1.0}, {"min_successes": 0},
     {"min_successes": 6}, {"seed": -1}, {"D": 1e39}, {"gt_radius": float("inf")},
     {"gt_radius": float("nan")}, {"D": float("inf")},
+    {"k_graph": 0}, {"K_max": 0}, {"v_step": float("nan")}, {"v_max": float("inf")},
+    {"W": 10 ** 30},
 ])
 def test_validate_rejects_out_of_range(overrides):
     with pytest.raises(InvalidParams):
@@ -99,6 +106,23 @@ def test_validate_rejects_out_of_range(overrides):
 def test_training_margins_are_not_config_keys(key):
     with pytest.raises(InvalidParams, match="unknown config key"):
         config.apply(Config(), {key: "1"})
+
+
+@pytest.mark.parametrize("key", ["descriptor_dim", "vlad_clusters"])
+def test_net_widths_are_not_config_keys(key):
+    # they come from the weight file
+    with pytest.raises(InvalidParams, match="unknown config key"):
+        config.apply(Config(), {key: "128"})
+
+
+def test_stage_objects_come_from_config():
+    cfg = config.apply(Config(), {"W": 6, "mirror": True, "D": 0.5, "K_max": 7,
+                                  "seed": 3, "k_graph": 5}).validate()
+    assert cfg.match_params() == MatchParams(W=6, mirror=True)
+    assert cfg.cluster_params() == ClusterParams(D=0.5, K_max=7, seed=3)
+    assert cfg.net_config() == NetConfig(k_graph=5)
+    with pytest.raises(InvalidParams, match="D is required"):
+        Config().cluster_params()
 
 
 def test_non_utf8_file_is_format_error(tmp_path):

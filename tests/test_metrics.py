@@ -118,6 +118,13 @@ def test_recall_errors():
         metrics.recall_at_n(descs, poses, pm, 0.0, 1)
 
 
+@pytest.mark.parametrize("radius", [float("inf"), float("nan"), 0.0, -1.0])
+def test_ground_truth_needs_a_finite_positive_radius(radius):
+    poses = np.zeros((3, 3))
+    with pytest.raises(InvalidParams, match="gt_radius"):
+        metrics.ground_truth(poses, poses + 1e6, radius)
+
+
 def test_seq_protocol_all_hits():
     rng = np.random.default_rng(6)
     pm, descs, poses = _corpus(rng, n=25)

@@ -201,6 +201,30 @@ def test_one_file_boundary_and_one_pool():
                 assert node.name != "take", f"take() reader in {name}"
 
 
+# Config keys whose bounds and defaults the stage objects own
+_STAGE_KEYS = {"W", "v_min", "v_max", "v_step", "accept_ratio", "mirror", "k_graph", "K_max"}
+
+
+def test_stage_keys_have_one_owner():
+    """Config.validate states no stage bound, and Config copies no stage default."""
+    config = dict(_sources())["config.py"]
+    cls = next(n for n in config.body if isinstance(n, ast.ClassDef) and n.name == "Config")
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id in _STAGE_KEYS:
+            assert not isinstance(node.value, ast.Constant), \
+                f"Config.{node.target.id} default written in config.py"
+    validate = next(n for n in cls.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "validate")
+    bounded = {"W", "v_min", "v_max", "v_step", "accept_ratio", "k_graph", "D"}
+    for node in ast.walk(validate):
+        if isinstance(node, ast.Compare) and not all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Attribute):
+                    assert part.attr not in bounded, \
+                        f"Config.validate compares {part.attr}"
+
+
 def test_only_placemap_knows_the_map_storage():
     pm = placemap.PlaceMap()
     pm.insert(placemap.PlaceEntry(0, Pose(0.0, 0.0, 0.0, 0), np.ones(4) / 2.0))
