@@ -58,9 +58,10 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _check_ceiling(D: float) -> None:
-    """The rule for D, in (0, float32 max], as the LPDC file stores D as float32."""
-    if not 0.0 < D <= _F32_MAX:
-        raise InvalidParams(f"D must be in (0, {_F32_MAX:.7g}]")
+    """The rule for D, in (0, float32 max] and not rounded to 0 as float32, as
+    the LPDC file stores D as float32."""
+    if not (0.0 < D <= _F32_MAX and np.float32(D) > 0.0):
+        raise InvalidParams(f"D must be in (0, {_F32_MAX:.7g}] and above 0 as float32")
 
 
 @dataclass(frozen=True)

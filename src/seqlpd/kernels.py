@@ -14,6 +14,12 @@ candidates' distances exactly and ranks them by (distance, index); a row
 whose k-th exact distance reaches its bound may have an unseen point tied
 with it, and only such a row is answered by an exact scan of every point.
 The result matches an exhaustive scan bit for bit.
+
+Sequence search (``seqmatch.detect_loop``) follows the same rule: one BLAS
+product, widened by :func:`approx_slack`, bounds every difference cell, one
+run-aware :func:`trajectory_grid` pass over the bounds brackets every
+column's score, and only the columns where the best or second best can lie
+get exact cells from :func:`pairwise_l2`.
 """
 
 import numpy as np
@@ -242,7 +248,7 @@ def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
     return out
 
 
-def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
+def trajectory_grid(m: np.ndarray, offsets: np.ndarray, first=None):
     """Best mean trajectory score per reference end column.
 
     ``offsets[vi, t]`` is the backward column shift of query row ``rows-1-t``
@@ -250,6 +256,11 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
     length ``cols``; out-of-bounds columns keep inf / -1.  Velocities are
     scanned in ascending index order and replaced only on strictly smaller
     scores, so ties resolve to the lower velocity.
+
+    ``first[c]``, when given, is the first column of the run that holds
+    column ``c``: the columns are several runs side by side, and a trajectory
+    ending at ``c`` is in bounds only when it stays within that run.  Each
+    column then scores as it would in a call on its run alone.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -261,6 +272,8 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
     nv, w = offsets.shape
     best = np.full(cols, np.inf, dtype=np.float64)
     best_v = np.full(cols, -1, dtype=np.int64)
+    # columns a trajectory may reach back from each end column
+    room = None if first is None else np.arange(cols) - np.asarray(first, dtype=np.int64)
     for vi in range(nv):
         off = offsets[vi]
         omax = int(off.max())
@@ -271,6 +284,8 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray):
             acc += m[rows - 1 - t, omax - off[t]: cols - off[t]]
         acc /= w
         upd = acc < best[omax:]
+        if room is not None:
+            upd &= room[omax:] >= omax
         best[omax:][upd] = acc[upd]
         best_v[omax:][upd] = vi
     return best, best_v

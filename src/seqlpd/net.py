@@ -32,6 +32,12 @@ INPUT_DIM = 3 + FEATURE_DIM
 
 _LPDW_MAGIC = b"LPDW"
 _LPDW_VERSION = 1
+# points per row block of graph_aggregate's edge MLP (about 64 each: the
+# blocks split the rows evenly).  A block's edge rows are one GEMM, and a GEMM
+# of two or more rows gives each row the bits of the whole product; a
+# single-row product goes through GEMV and may not, and even splitting leaves
+# every block at least two rows whenever the whole has.
+_EDGE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -246,8 +252,9 @@ def graph_aggregate(feats: np.ndarray, k_graph: int, ws: WeightSet,
     Neighbors are found in the transformed feature space (a point is never
     its own neighbor; saturates at n-1), edges are built in the original
     space as concat(p_i, p_i - p_j), passed through the shared edge MLP and
-    max-pooled per point.  A single row degenerates to one self-edge with a
-    zero difference part.
+    max-pooled per point, one row block at a time, so no (n, k, 2F) edge
+    tensor is built.  A single row degenerates to one self-edge with a zero
+    difference part.
     """
     x = np.asarray(feats, dtype=np.float32)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -256,16 +263,21 @@ def graph_aggregate(feats: np.ndarray, k_graph: int, ws: WeightSet,
     t = feature_transform(x, ws, config)
     transformed = x @ t
     kk = min(k_graph, n - 1)
-    if kk == 0:
-        edges = np.concatenate([x, np.zeros_like(x)], axis=1)[:, None, :]
-    else:
-        nbr = kernels.feature_knn(transformed, kk)
-        diff = x[:, None, :] - x[nbr]
-        edges = np.concatenate([np.broadcast_to(x[:, None, :], diff.shape), diff], axis=2)
-    flat = edges.reshape(-1, 2 * f).astype(np.float32, copy=False)
-    out = _mlp(flat, ws, "edge", len(config.edge_mlp))
-    out = out.reshape(n, edges.shape[1], -1)
-    return out.max(axis=1)
+    nbr = kernels.feature_knn(transformed, kk) if kk else None
+    # edges are built, passed through the MLP and pooled one row block at a
+    # time, in one reused buffer; without neighbors its difference part stays 0
+    n_blocks = -(-n // _EDGE_BLOCK_ROWS)
+    cuts = [i * n // n_blocks for i in range(n_blocks + 1)]
+    edges = np.zeros((-(-n // n_blocks), max(kk, 1), 2 * f), dtype=np.float32)
+    pooled = []
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        blk = edges[:e - s]
+        blk[:, :, :f] = x[s:e, None, :]
+        if kk:
+            np.subtract(x[s:e, None, :], x[nbr[s:e]], out=blk[:, :, f:])
+        h = _mlp(blk.reshape(-1, 2 * f), ws, "edge", len(config.edge_mlp))
+        pooled.append(h.reshape(e - s, blk.shape[1], -1).max(axis=1))
+    return np.concatenate(pooled)
 
 
 def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -> np.ndarray:

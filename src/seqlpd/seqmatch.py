@@ -9,6 +9,11 @@ line, accepted by a best/second-best ratio test with an exclusion zone.
 Trajectories are anchored at the newest query frame and projected backward
 with slope v reference-frames-per-query-frame; all scores are mean L2
 differences, so they live in [0, 2] for unit descriptors.
+
+The fine stage follows the kernels' candidate rule (see ``kernels``): cheap
+bounds on every column's score from one approximate product, then exact
+scores only where the best or the second best can lie.  The result is that
+of scoring every column exactly, bit for bit.
 """
 
 import math
@@ -23,6 +28,9 @@ from .errors import (EmptyInput, EmptySuperKeyframes, InsufficientHistory,
 from .placemap import PlaceMap
 
 MAX_VELOCITIES = 2 ** 16  # longest velocity grid MatchParams accepts
+# candidate columns below which detect_loop scores every column exactly: the
+# bounding pass costs more than it saves on so few
+_BOUND_MIN_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,95 @@ def _candidate_runs(skf: SuperKeyframes, cluster_id: int, w: int):
     return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
+def _run_firsts(labels: np.ndarray) -> np.ndarray:
+    """Index of the first column of each column's run; a run is a block of
+    equal adjacent ``labels``."""
+    start = np.ones(labels.shape[0], dtype=bool)
+    start[1:] = labels[1:] != labels[:-1]
+    return np.maximum.accumulate(np.where(start, np.arange(labels.shape[0]), 0))
+
+
+def _search_runs(mat: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
+                 vels: np.ndarray, mirror: bool):
+    """Best score and velocity per column of ``mat``, whose columns are runs
+    side by side (see :func:`_run_firsts`); no trajectory crosses a run's ends.
+
+    With ``mirror`` each run is also searched reversed; a reversed trajectory
+    wins only on a strictly smaller score and reports a negative velocity.
+    Velocities are NaN where no trajectory is in bounds.
+    """
+    scores, v_idx = kernels.trajectory_grid(mat, offsets, _run_firsts(labels))
+    vel = np.where(v_idx >= 0, vels[np.maximum(v_idx, 0)], np.nan)
+    if mirror:
+        r_scores, r_idx = kernels.trajectory_grid(mat[:, ::-1], offsets,
+                                                  _run_firsts(labels[::-1]))
+        r_scores = r_scores[::-1]
+        r_idx = r_idx[::-1]
+        better = r_scores < scores
+        scores = np.where(better, r_scores, scores)
+        vel = np.where(better, np.where(r_idx >= 0, -vels[np.maximum(r_idx, 0)], np.nan), vel)
+    return scores, vel
+
+
+def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
+    """Exact scores of the run columns ``cols`` (run ``label`` each) where the
+    best or second best can lie; returns (score, velocity, known), with inf /
+    NaN where ``known`` is False."""
+    n = cols.shape[0]
+    first = _run_firsts(label)
+    last = n - _run_firsts(label[::-1])[::-1]
+    reach = int(offsets.max())  # columns a trajectory spans, less one
+    # cells from one product, scores from one grid pass over lower|upper
+    r = ref_desc[cols].astype(np.float64)
+    sq_r = np.einsum("nd,nd->n", r, r)
+    approx = sq_q[:, None] + sq_r[None, :] - 2.0 * (q @ r.T)
+    slack = kernels.approx_slack(np.concatenate((sq_q, sq_r)))
+    cells = np.concatenate((np.sqrt(np.maximum(approx - slack, 0.0)),
+                            np.sqrt(approx + slack)), axis=1)
+    bound, _ = _search_runs(cells, np.concatenate((label, label + label[-1] + 1)),
+                            offsets, vels, params.mirror)
+    lower, upper = bound[:n], bound[n:]
+
+    score = np.full(n, np.inf)
+    vel = np.full(n, np.nan)
+    known = np.zeros(n, dtype=bool)
+
+    def score_exactly(want):
+        # the span each trajectory of a wanted column reaches, within its run
+        s = np.maximum(first[want], want - reach)
+        e = np.minimum(last[want], want + 1 + (reach if params.mirror else 0))
+        need = np.cumsum(np.bincount(s, minlength=n + 1) - np.bincount(e, minlength=n + 1))
+        span = np.flatnonzero(need[:n] > 0)
+        # a span ends where the marked columns stop or a run ends
+        breaks = np.ones(span.shape[0], dtype=bool)
+        breaks[1:] = (span[1:] != span[:-1] + 1) | (label[span[1:]] != label[span[:-1]])
+        mat = kernels.pairwise_l2(q, ref_desc[cols[span]])
+        sc, ve = _search_runs(mat, np.cumsum(breaks), offsets, vels, params.mirror)
+        at = np.searchsorted(span, want)
+        score[want] = sc[at]
+        vel[want] = ve[at]
+        known[want] = True
+
+    def second_may(top):
+        # columns not yet scored, outside the exclusion zone of the best at
+        # ``top``, that may hold the second best
+        far = np.abs(cols - cols[top]) > params.exclusion_frames
+        ceiling = np.where(known, score, upper)[far].min(initial=np.inf)
+        return far & ~known & (lower <= ceiling) & (lower < np.inf)
+
+    # columns that may hold the best (one bounded below by inf scores inf),
+    # and those that may hold the second best if the best is the column of
+    # the least upper bound; once the best is known, any column that guess
+    # missed is scored too
+    best_may = (lower <= upper.min()) & (lower < np.inf)
+    if best_may.any():
+        score_exactly(np.flatnonzero(best_may | second_may(int(np.argmin(upper)))))
+        want = np.flatnonzero(second_may(int(np.argmin(score))))
+        if want.shape[0]:
+            score_exactly(want)
+    return score, vel, known
+
+
 def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
                 params: MatchParams) -> MatchResult:
     """Coarse-to-fine loop detection for the newest query frame.
@@ -192,34 +289,62 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     best exists outside the exclusion zone and best < accept_ratio * second.
     With ``params.mirror`` each run is also searched reversed, covering
     segments revisited in the opposite travel direction.
+
+    The search follows the kernels' candidate rule.  One BLAS product over
+    every run column gives each difference cell an approximate squared
+    distance; less and plus ``kernels.approx_slack`` it brackets the exact
+    cell, and one grid pass over the bracketing cells brackets every
+    column's score, since rounded sums, division and minima are monotone.
+    Exact scores are computed only for columns whose lower bound reaches the
+    least upper bound (where the best can lie) and for columns outside the
+    best's exclusion zone whose lower bound reaches the least bound there
+    (where the second best can lie).  That zone is first taken around the
+    column of the least upper bound; if the exact best lies elsewhere, the
+    columns its own zone adds are scored in a second pass.  Each exact
+    column is scored on the span of its run that its trajectories reach,
+    from the same cells in the same order as a search of the whole run, so
+    the result is that of scoring every column exactly.  Runs of fewer than
+    ``_BOUND_MIN_COLUMNS`` columns in all are scored whole, without bounds.
+
+    A query window with a NaN or inf, or whose squared norms overflow,
+    raises InvalidParams.
     """
     q = np.atleast_2d(np.asarray(query_window, dtype=np.float64))
     if q.shape[0] != params.W:
         raise InvalidParams(f"query window has {q.shape[0]} frames, expected {params.W}")
+    sq_q = np.einsum("wd,wd->w", q, q)
+    if not np.isfinite(sq_q).all():
+        raise InvalidParams("query window must be finite, with finite squared norms")
     cluster_id = coarse_match(q[-1], skf)
     runs = _candidate_runs(skf, cluster_id, params.W)
     if not runs:
         raise InsufficientHistory(f"no candidate run of length >= {params.W}")
     ref_desc = pmap.descriptor_matrix()
     vels = params.velocities()
-    # score and velocity per map column; columns outside every run stay inf,
-    # so the selector sees only the candidate runs
+    offsets = _offset_grid(params)
+
+    # every run column side by side: its map column and its run's label
+    lo, hi = np.array(runs).T
+    n_run = hi - lo
+    label = np.repeat(np.arange(len(runs)), n_run)
+    cols = np.arange(label.shape[0]) + np.repeat(lo - np.cumsum(n_run) + n_run, n_run)
+    n = cols.shape[0]
+
+    if n < _BOUND_MIN_COLUMNS:
+        # too few columns for bounds to pay: every run is scored whole
+        score, vel = _search_runs(kernels.pairwise_l2(q, ref_desc[cols]), label,
+                                  offsets, vels, params.mirror)
+        known = np.ones(n, dtype=bool)
+    else:
+        score, vel, known = _pruned_search(q, sq_q, ref_desc, cols, label, offsets,
+                                           vels, params)
+
+    # score and velocity per map column; columns not scored exactly stay inf,
+    # so the selector sees only columns that may hold the best or second best
     map_scores = np.full(runs[-1][1], np.inf)
     map_vel = np.full(runs[-1][1], np.nan)
-    for lo, hi in runs:
-        sub = kernels.pairwise_l2(q, ref_desc[lo:hi])
-        scores, v_idx = _grid_minima(sub, params)
-        vel = np.where(v_idx >= 0, vels[np.maximum(v_idx, 0)], np.nan)
-        if params.mirror:
-            r_scores, r_idx = _grid_minima(sub[:, ::-1], params)
-            r_scores = r_scores[::-1]
-            r_idx = r_idx[::-1]
-            better = r_scores < scores
-            scores = np.where(better, r_scores, scores)
-            vel = np.where(better, np.where(r_idx >= 0, -vels[np.maximum(r_idx, 0)], np.nan), vel)
-        map_scores[lo:hi] = scores
-        map_vel[lo:hi] = vel
-
+    map_scores[cols[known]] = score[known]
+    map_vel[cols[known]] = vel[known]
     best, second = _best_and_second(map_scores, params.exclusion_frames)
     best_score = float(map_scores[best])
     accepted = math.isfinite(second) and best_score < params.accept_ratio * second

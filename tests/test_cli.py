@@ -211,6 +211,14 @@ def test_cluster_requires_d(corpus, tmp_path, capsys):
     assert err.startswith("E:InvalidParams:") and "D" in err
 
 
+def test_d_that_float32_rounds_to_zero_is_invalid(corpus, tmp_path, capsys):
+    code, out, err = _run(["cluster", str(corpus / "map.lpdm"),
+                           "-o", str(tmp_path / "m.lpdc"), "--D", "1e-50"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("E:InvalidParams:")
+    assert not (tmp_path / "m.lpdc").exists()
+
+
 def test_unknown_config_key_rejected(corpus, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("window = 5\n")

@@ -237,6 +237,11 @@ def test_elbow_validates_params():
     for D in (1e39, float("inf"), float("nan")):
         with pytest.raises(InvalidParams, match="D must be in"):
             cluster.ClusterParams(D=D)
+    # a positive D that float32 rounds to 0 would be saved as D = 0
+    for D in (1e-50, 7e-46):
+        with pytest.raises(InvalidParams, match="D must be in"):
+            cluster.ClusterParams(D=D)
+    assert cluster.ClusterParams(D=1.5e-45).D == 1.5e-45  # the least float32 subnormal
     with pytest.raises(InvalidParams, match="seed"):
         cluster.ClusterParams(D=1.0, seed=-5000)
 
@@ -514,7 +519,7 @@ def test_lpdc_round_trip(tmp_path):
     cluster.save_clusters(back, d, path2)
     assert path.read_bytes() == path2.read_bytes()
     # a D that float32 cannot hold is refused before the file is opened
-    for D in (1e39, 0.0, float("nan")):
+    for D in (1e39, 0.0, float("nan"), 1e-50):
         with pytest.raises(InvalidParams, match="D must be in"):
             cluster.save_clusters(skf, D, tmp_path / "bad.lpdc")
     assert not (tmp_path / "bad.lpdc").exists()

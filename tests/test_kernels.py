@@ -269,6 +269,37 @@ def test_trajectory_grid_paths_agree():
     assert best_v[: int(off.max(axis=1).min())].max() == -1
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), w=st.integers(1, 8),
+       lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+       v_max=st.sampled_from([1.0, 1.2, 2.0, 3.5]))
+def test_run_aware_trajectory_grid_scores_each_run_alone(seed, w, lengths, v_max):
+    # runs side by side score as each run alone: no trajectory crosses a run's ends
+    rng = np.random.default_rng(seed)
+    m = rng.random((w + int(rng.integers(0, 3)), sum(lengths)))
+    if rng.integers(0, 2):
+        m = np.round(4 * m) / 4  # tied cells and tied scores
+    vs = np.arange(0.5, v_max + 1e-9, 0.25)
+    off = np.floor(vs[:, None] * np.arange(w)[None, :] + 0.5).astype(np.int64)
+    starts = np.cumsum([0] + lengths[:-1])
+    first = np.repeat(starts, lengths)
+    best, best_v = kernels.trajectory_grid(m, off, first)
+    for s, n in zip(starts, lengths):
+        alone, alone_v = kernels.trajectory_grid(m[:, s:s + n], off)
+        assert best[s:s + n].tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(best_v[s:s + n], alone_v)
+        b_ref, v_ref = trajectory_grid_oracle(m[:, s:s + n], off)
+        assert np.array_equal(np.isinf(best[s:s + n]), np.isinf(b_ref))
+        finite = np.isfinite(b_ref)
+        np.testing.assert_allclose(best[s:s + n][finite], b_ref[finite], rtol=1e-12)
+        np.testing.assert_array_equal(best_v[s:s + n], v_ref)
+    # one run over every column is the call without runs
+    whole, whole_v = kernels.trajectory_grid(m, off, np.zeros(m.shape[1], dtype=np.int64))
+    plain, plain_v = kernels.trajectory_grid(m, off)
+    assert whole.tobytes() == plain.tobytes()
+    np.testing.assert_array_equal(whole_v, plain_v)
+
+
 def test_trajectory_grid_validation():
     with pytest.raises(ValueError):
         kernels.trajectory_grid(np.ones((3, 10)), _offsets(5))

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from seqlpd import cloud, net
+from seqlpd import cloud, kernels, net
 from seqlpd.errors import EmptyInput, FormatError, NormError, ShapeError
 
 from oracles import quadruplet_oracle
@@ -139,6 +139,35 @@ def test_graph_aggregate_shapes_and_single_point():
     assert out.shape == (30, 24)
     single = net.graph_aggregate(feats[:1], SMALL.k_graph, ws, SMALL)
     assert single.shape == (1, 24)
+
+
+def _whole_graph_aggregate(feats, k_graph, ws, config):
+    """graph_aggregate with every edge in one (n, k, 2F) tensor and one MLP pass."""
+    x = np.asarray(feats, dtype=np.float32)
+    n = x.shape[0]
+    kk = min(k_graph, n - 1)
+    if kk == 0:
+        edges = np.concatenate([x, np.zeros_like(x)], axis=1)[:, None, :]
+    else:
+        nbr = kernels.feature_knn(x @ net.feature_transform(x, ws, config), kk)
+        diff = x[:, None, :] - x[nbr]
+        edges = np.concatenate([np.broadcast_to(x[:, None, :], diff.shape), diff], axis=2)
+    out = net._mlp(edges.reshape(n * edges.shape[1], -1), ws, "edge", len(config.edge_mlp))
+    return out.reshape(n, edges.shape[1], -1).max(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("k_graph", [0, 1, 2, 20])
+def test_graph_aggregate_row_blocks_equal_one_pass(n, k_graph):
+    # row blocks split evenly, so every block's GEMM has at least two rows
+    # whenever the whole has, and gives each row the whole product's bits
+    config = net.NetConfig()
+    ws = net.random_weights(config, seed=8)
+    feats = np.random.default_rng(n).normal(size=(n, config.feature_width)).astype(np.float32)
+    got = net.graph_aggregate(feats, k_graph, ws, config)
+    want = _whole_graph_aggregate(feats, k_graph, ws, config)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_netvlad_unit_norm_and_dtype():

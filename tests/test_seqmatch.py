@@ -1,14 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlpd import cluster, placemap, seqmatch
+from seqlpd import cluster, kernels, placemap, seqmatch
 from seqlpd.cloud import Pose
 from seqlpd.errors import (EmptyInput, InsufficientHistory, InvalidParams,
-                           OutOfBounds, WindowTooLarge)
+                           NoValidTrajectory, OutOfBounds, WindowTooLarge)
 
 from oracles import (candidate_runs_oracle, orthogonal_to, random_unit, seqsearch_oracle,
                      trajectory_score_oracle)
@@ -324,6 +325,206 @@ def test_detect_loop_mirror_finds_reversed_segment():
     assert rev.score == 0.0
     assert rev.ref_end == 30
     assert rev.velocity == pytest.approx(-1.0)
+
+
+def _per_run_reference(query_window, pm, skf, params):
+    """detect_loop as one exact pass per candidate run: every cell by
+    ``kernels.pairwise_l2`` and every column by ``kernels.trajectory_grid``,
+    both checked against the loop oracles in ``tests/test_kernels.py``."""
+    q = np.atleast_2d(np.asarray(query_window, dtype=np.float64))
+    cluster_id = seqmatch.coarse_match(q[-1], skf)
+    runs = seqmatch._candidate_runs(skf, cluster_id, params.W)
+    if not runs:
+        raise InsufficientHistory(f"no candidate run of length >= {params.W}")
+    ref_desc = pm.descriptor_matrix()
+    vels = params.velocities()
+    offsets = seqmatch._offset_grid(params)
+    map_scores = np.full(runs[-1][1], np.inf)
+    map_vel = np.full(runs[-1][1], np.nan)
+    for lo, hi in runs:
+        sub = kernels.pairwise_l2(q, ref_desc[lo:hi])
+        scores, v_idx = kernels.trajectory_grid(sub, offsets)
+        vel = np.where(v_idx >= 0, vels[np.maximum(v_idx, 0)], np.nan)
+        if params.mirror:
+            r_scores, r_idx = kernels.trajectory_grid(sub[:, ::-1], offsets)
+            r_scores, r_idx = r_scores[::-1], r_idx[::-1]
+            better = r_scores < scores
+            scores = np.where(better, r_scores, scores)
+            vel = np.where(better, np.where(r_idx >= 0, -vels[np.maximum(r_idx, 0)], np.nan),
+                           vel)
+        map_scores[lo:hi] = scores
+        map_vel[lo:hi] = vel
+    best, second = seqmatch._best_and_second(map_scores, params.exclusion_frames)
+    score = float(map_scores[best])
+    accepted = math.isfinite(second) and score < params.accept_ratio * second
+    return seqmatch.MatchResult(ref_end=best, velocity=float(map_vel[best]), score=score,
+                                accepted=bool(accepted), cluster_id=cluster_id,
+                                second_best=second)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (InsufficientHistory, NoValidTrajectory) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@st.composite
+def _search_cases(draw):
+    """(descriptors, clusters, query window, params) with many ties: rows on a
+    coarse grid, repeated rows or all one row, windows copied from the map
+    (forward or reversed), rounded, or random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 90))
+    dim = draw(st.sampled_from([2, 3, 8, 32]))
+    kind = draw(st.sampled_from(["normal", "grid", "repeated", "identical"]))
+    x = rng.normal(size=(n, dim))
+    if kind == "grid":
+        x = np.round(x)
+        x[~x.any(axis=1), 0] = 1.0
+    elif kind == "repeated":
+        x = x[rng.integers(0, max(1, n // 5), size=n)]
+    elif kind == "identical":
+        x = np.tile(x[:1], (n, 1))
+    x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+    n_hist = draw(st.integers(1, n))
+    k = draw(st.integers(1, min(4, n_hist)))
+    label = np.concatenate([np.arange(k), rng.integers(0, k, size=n_hist - k)])
+    rng.shuffle(label)
+    members = [np.flatnonzero(label == c) for c in range(k)]
+    skf = cluster.SuperKeyframes(np.zeros((k, dim)), [int(m[0]) for m in members],
+                                 members, x[:n_hist])
+    v_min = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    params = seqmatch.MatchParams(
+        W=draw(st.integers(1, 12)), v_min=v_min,
+        v_max=v_min + draw(st.sampled_from([0.0, 0.4, 1.5])),
+        v_step=draw(st.sampled_from([0.1, 0.25, 0.5])),
+        exclusion=draw(st.sampled_from([None, 0, 1, 1000])),
+        mirror=draw(st.booleans()))
+    start = int(rng.integers(0, n))
+    window = x[np.arange(start, start + params.W) % n].astype(np.float64)
+    how = draw(st.sampled_from(["copy", "reversed", "noisy", "rounded", "random"]))
+    if how == "reversed":
+        window = window[::-1]
+    elif how == "noisy":
+        window = window + rng.normal(0.0, 0.01, size=window.shape)
+    elif how == "rounded":
+        window = np.round(window * 2) / 2
+    elif how == "random":
+        window = rng.normal(size=window.shape)
+    return x, skf, window, params
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_search_cases())
+def test_detect_loop_equals_the_per_run_search(case):
+    x, skf, window, params = case
+    pm = _map_from(x)
+    want = _outcome(_per_run_reference, window, pm, skf, params)
+    assert _outcome(seqmatch.detect_loop, window, pm, skf, params) == want
+    # the same with bounds formed however few the columns
+    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
+        assert _outcome(seqmatch.detect_loop, window, pm, skf, params) == want
+
+
+def test_exact_stage_scores_fewer_cells_than_the_runs_cover():
+    # well-separated places: the bounds leave only the columns near the best
+    # and the second best for the exact stage
+    rng = np.random.default_rng(14)
+    base, revisit = _loop_descriptors(rng, n_places=400, dim=64, sigma=0.02)
+    pm = _map_from(base)
+    skf = _skf_for(pm, K=1)
+    params = seqmatch.MatchParams(W=10)
+    cells = []
+    real = kernels.pairwise_l2
+
+    def spy(a, b):
+        cells.append(a.shape[0] * b.shape[0])
+        return real(a, b)
+
+    for qi in (60, 200, 390):
+        window = revisit[qi - 9:qi + 1]
+        cells.clear()
+        with mock.patch.object(kernels, "pairwise_l2", spy):
+            got = seqmatch.detect_loop(window, pm, skf, params)
+        covered = params.W * sum(hi - lo for lo, hi in seqmatch._candidate_runs(skf, 0, 10))
+        assert 0 < sum(cells) < covered / 4
+        assert got.ref_end == qi and got.accepted
+        assert repr(got) == repr(_per_run_reference(window, pm, skf, params))
+
+
+def test_exact_spans_of_adjacent_runs_stay_apart():
+    # Runs A = [10, 21), B = [45, 56) and C = [65, 71) lie side by side in the
+    # candidate columns, so A's last column sits next to B's first.  Frames
+    # 16-20 and 45-49 are all within 1e-6 of one direction, so the columns
+    # near A's end and B's start are near-best candidates scored in one exact
+    # pass.  C ends with an exact copy of the query (frames 20, 45, 47, 48
+    # and 49): the best is column 70, score 0.  A trajectory from column 49 at v = 1.2 would need column 44,
+    # outside B; continued into A's column 20 it would also score 0.
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(75, 16))
+    u = x[0]
+    for i in (*range(16, 21), *range(45, 50)):
+        x[i] = u + 1e-6 * rng.normal(size=16)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = x.astype(np.float32)
+    query = x[[20, 45, 47, 48, 49]]
+    x[66:71] = query
+    pm = _map_from(x)
+    skf = cluster.SuperKeyframes(np.zeros((1, 16)), [15], [np.array([15, 50, 70])], x[:71])
+    params = seqmatch.MatchParams(W=5)
+    assert seqmatch._candidate_runs(skf, 0, 5) == [(10, 21), (45, 56), (65, 71)]
+    want = _per_run_reference(query, pm, skf, params)
+    assert (want.ref_end, want.score) == (70, 0.0)
+    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
+        assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
+
+
+def test_second_best_follows_the_exact_best_not_the_least_upper_bound():
+    # W = 2 at v = 1: column c scores (|q1 - d_c| + |q0 - d_{c-1}|) / 2.  The
+    # best, column 12, scores 0.1 from cells 0 and 0.2; column 10 scores
+    # 0.100001 from two cells near 0.1.  A zero cell's bounds are the widest,
+    # so column 10 has the least upper bound although 12 is the best.
+    # Exclusion 2: column 14 (0.3) lies outside 10's zone but inside 12's,
+    # and the second best is column 30 (0.5), which only 12's zone lets in.
+    dim = 16
+    e = np.eye(dim)
+
+    def at(base, side, dist):  # a unit vector at distance dist from base
+        c = 1.0 - dist * dist / 2.0
+        return c * base + math.sqrt(1.0 - c * c) * side
+
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(40, dim))
+    x[:, :2] = 0.0  # every other frame lies far from e0 and e1
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    q0, q1 = e[0], e[1]
+    x[12], x[11] = q1, at(q0, e[2], 0.2)
+    x[10], x[9] = at(q1, e[3], 0.1), at(q0, e[4], 0.100002)
+    x[14], x[13] = at(q1, e[5], 0.3), at(q0, e[6], 0.3)
+    x[30], x[29] = at(q1, e[7], 0.5), at(q0, e[8], 0.5)
+    x = x.astype(np.float32)
+    pm = _map_from(x)
+    skf = cluster.SuperKeyframes(np.zeros((1, dim)), [0], [np.arange(40)], x)
+    params = seqmatch.MatchParams(W=2, v_min=1.0, v_max=1.0, exclusion=2)
+    query = np.stack([q0, q1])
+    want = _per_run_reference(query, pm, skf, params)
+    assert want.ref_end == 12 and want.accepted
+    assert want.second_best == pytest.approx(0.5, abs=1e-6)
+    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
+        assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_query_is_invalid_params(bad):
+    rng = np.random.default_rng(15)
+    base, _ = _loop_descriptors(rng, n_places=40)
+    pm = _map_from(base)
+    skf = _skf_for(pm, K=1)
+    window = base[10:20].astype(np.float64)
+    window[3, 5] = bad  # 1e200 is finite, but its square is not
+    with pytest.raises(InvalidParams, match="finite"):
+        seqmatch.detect_loop(window, pm, skf, seqmatch.MatchParams(W=10))
 
 
 def test_export_pgm_linear_map(tmp_path):
