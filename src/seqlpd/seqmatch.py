@@ -28,9 +28,6 @@ from .errors import (EmptyInput, EmptySuperKeyframes, InsufficientHistory,
 from .placemap import PlaceMap
 
 MAX_VELOCITIES = 2 ** 16  # longest velocity grid MatchParams accepts
-# candidate columns below which detect_loop scores every column exactly: the
-# bounding pass costs more than it saves on so few
-_BOUND_MIN_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -303,8 +300,7 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     columns its own zone adds are scored in a second pass.  Each exact
     column is scored on the span of its run that its trajectories reach,
     from the same cells in the same order as a search of the whole run, so
-    the result is that of scoring every column exactly.  Runs of fewer than
-    ``_BOUND_MIN_COLUMNS`` columns in all are scored whole, without bounds.
+    the result is that of scoring every column exactly.
 
     A query window with a NaN or inf, or whose squared norms overflow,
     raises InvalidParams.
@@ -328,16 +324,8 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     n_run = hi - lo
     label = np.repeat(np.arange(len(runs)), n_run)
     cols = np.arange(label.shape[0]) + np.repeat(lo - np.cumsum(n_run) + n_run, n_run)
-    n = cols.shape[0]
-
-    if n < _BOUND_MIN_COLUMNS:
-        # too few columns for bounds to pay: every run is scored whole
-        score, vel = _search_runs(kernels.pairwise_l2(q, ref_desc[cols]), label,
-                                  offsets, vels, params.mirror)
-        known = np.ones(n, dtype=bool)
-    else:
-        score, vel, known = _pruned_search(q, sq_q, ref_desc, cols, label, offsets,
-                                           vels, params)
+    score, vel, known = _pruned_search(q, sq_q, ref_desc, cols, label, offsets,
+                                       vels, params)
 
     # score and velocity per map column; columns not scored exactly stay inf,
     # so the selector sees only columns that may hold the best or second best

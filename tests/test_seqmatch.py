@@ -422,9 +422,6 @@ def test_detect_loop_equals_the_per_run_search(case):
     pm = _map_from(x)
     want = _outcome(_per_run_reference, window, pm, skf, params)
     assert _outcome(seqmatch.detect_loop, window, pm, skf, params) == want
-    # the same with bounds formed however few the columns
-    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
-        assert _outcome(seqmatch.detect_loop, window, pm, skf, params) == want
 
 
 def test_exact_stage_scores_fewer_cells_than_the_runs_cover():
@@ -476,8 +473,7 @@ def test_exact_spans_of_adjacent_runs_stay_apart():
     assert seqmatch._candidate_runs(skf, 0, 5) == [(10, 21), (45, 56), (65, 71)]
     want = _per_run_reference(query, pm, skf, params)
     assert (want.ref_end, want.score) == (70, 0.0)
-    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
-        assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
+    assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
 
 
 def test_second_best_follows_the_exact_best_not_the_least_upper_bound():
@@ -511,8 +507,7 @@ def test_second_best_follows_the_exact_best_not_the_least_upper_bound():
     want = _per_run_reference(query, pm, skf, params)
     assert want.ref_end == 12 and want.accepted
     assert want.second_best == pytest.approx(0.5, abs=1e-6)
-    with mock.patch.object(seqmatch, "_BOUND_MIN_COLUMNS", 0):
-        assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
+    assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
