@@ -69,6 +69,8 @@ def _load_poses(input_dir):
             raise FormatError(f"{path}:{ln}: malformed row") from None
         if not np.isfinite((x, y, z)).all():
             raise FormatError(f"{path}:{ln}: non-finite pose")
+        if fid in poses:
+            raise FormatError(f"{path}:{ln}: frame {fid} listed twice")
         poses[fid] = Pose(x, y, z, fid)
     return poses
 

@@ -248,44 +248,47 @@ def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
     return out
 
 
-def trajectory_grid(m: np.ndarray, offsets: np.ndarray, first=None):
+def trajectory_grid(m: np.ndarray, offsets: np.ndarray, runs=None):
     """Best mean trajectory score per reference end column.
 
     ``offsets[vi, t]`` is the backward column shift of query row ``rows-1-t``
-    for velocity ``vi``.  Returns (best_score, best_velocity_index) arrays of
-    length ``cols``; out-of-bounds columns keep inf / -1.  Velocities are
+    for velocity ``vi``; negated offsets give the reversed trajectory.  End
+    column ``c`` is in bounds when ``c - max(off) >= 0`` and
+    ``c - min(off) < cols``.  Returns (best_score, best_velocity_index) arrays
+    of length ``cols``; out-of-bounds columns keep inf / -1.  Velocities are
     scanned in ascending index order and replaced only on strictly smaller
     scores, so ties resolve to the lower velocity.
 
-    ``first[c]``, when given, is the first column of the run that holds
-    column ``c``: the columns are several runs side by side, and a trajectory
-    ending at ``c`` is in bounds only when it stays within that run.  Each
-    column then scores as it would in a call on its run alone.
+    ``runs``, when given, is a pair (first, last): the columns are runs side
+    by side, column ``c`` in run ``[first[c], last[c])``, and each column
+    scores as it would in a call on its run alone.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     if m.shape[0] < offsets.shape[1]:
         raise ValueError("window exceeds row count")
-    if offsets.size and offsets.min() < 0:
-        raise ValueError("negative offsets unsupported")
     rows, cols = m.shape
-    nv, w = offsets.shape
+    w = offsets.shape[1]
     best = np.full(cols, np.inf, dtype=np.float64)
     best_v = np.full(cols, -1, dtype=np.int64)
-    # columns a trajectory may reach back from each end column
-    room = None if first is None else np.arange(cols) - np.asarray(first, dtype=np.int64)
-    for vi in range(nv):
-        off = offsets[vi]
-        omax = int(off.max())
-        if omax >= cols:
+    if runs is not None:
+        # columns a trajectory may reach back from, and forward of, each end column
+        back = np.arange(cols) - np.asarray(runs[0], dtype=np.int64)
+        ahead = np.asarray(runs[1], dtype=np.int64) - 1 - np.arange(cols)
+    for vi, off in enumerate(offsets.tolist()):
+        omax, omin = max(off), min(off)
+        lo, hi = max(omax, 0), cols + min(omin, 0)
+        if lo >= hi:
             continue
-        acc = np.zeros(cols - omax, dtype=np.float64)
+        acc = np.zeros(hi - lo, dtype=np.float64)
         for t in range(w):
-            acc += m[rows - 1 - t, omax - off[t]: cols - off[t]]
+            acc += m[rows - 1 - t, lo - off[t]: hi - off[t]]
         acc /= w
-        upd = acc < best[omax:]
-        if room is not None:
-            upd &= room[omax:] >= omax
-        best[omax:][upd] = acc[upd]
-        best_v[omax:][upd] = vi
+        upd = acc < best[lo:hi]
+        if runs is not None:
+            upd &= back[lo:hi] >= omax
+            if omin < 0:
+                upd &= ahead[lo:hi] >= -omin
+        best[lo:hi][upd] = acc[upd]
+        best_v[lo:hi][upd] = vi
     return best, best_v

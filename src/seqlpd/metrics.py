@@ -64,6 +64,7 @@ def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
     if n < 1:
         raise InvalidParams("N must be >= 1")
     q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
+    db.check_dim(q)
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)
     top = _top_n(q, db.descriptor_matrix(), min(n, len(db)))
     hits = 0
@@ -111,6 +112,7 @@ def seq_protocol(query_runs, db: PlaceMap, gt_radius: float,
         p = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
         if d.shape[0] != RUN_LEN or p.shape[0] != RUN_LEN:
             raise RunLengthError(f"runs must have exactly {RUN_LEN} frames")
+        db.check_dim(d)
         positives = ground_truth(p, db_poses, gt_radius)
         top1 = _top_n(d, db_desc, 1)[:, 0]
         wins = sum(1 for f in range(RUN_LEN)

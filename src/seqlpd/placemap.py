@@ -117,6 +117,11 @@ class PlaceMap:
         """Descriptor dimension, fixed by the first insert (0 while empty)."""
         return self._desc_col.shape[1]
 
+    def check_dim(self, descs: np.ndarray) -> None:
+        """Raise DimensionError unless the rows of ``descs`` are as wide as the map's."""
+        if descs.shape[1] != self.dim:
+            raise DimensionError(f"query descriptor dim {descs.shape[1]}, map dim {self.dim}")
+
     def _append(self, ids, poses: np.ndarray, descs: np.ndarray) -> None:
         """Check rows with ``_check_rows``, then append them."""
         n, m = self._n_rows, len(ids)

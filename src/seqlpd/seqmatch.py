@@ -8,7 +8,8 @@ line, accepted by a best/second-best ratio test with an exclusion zone.
 
 Trajectories are anchored at the newest query frame and projected backward
 with slope v reference-frames-per-query-frame; all scores are mean L2
-differences, so they live in [0, 2] for unit descriptors.
+differences, so they live in [0, 2] for unit descriptors.  Mirror mode adds
+each line reversed (negated offsets) to the same ``kernels.trajectory_grid``.
 
 The fine stage follows the kernels' candidate rule (see ``kernels``): cheap
 bounds on every column's score from one approximate product, then exact
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import fileio, kernels
 from .cluster import SuperKeyframes
-from .errors import (EmptyInput, EmptySuperKeyframes, InsufficientHistory,
+from .errors import (DimensionError, EmptyInput, EmptySuperKeyframes, InsufficientHistory,
                      InvalidParams, NoValidTrajectory, OutOfBounds, WindowTooLarge)
 from .placemap import PlaceMap
 
@@ -35,7 +36,9 @@ class MatchParams:
     """Window length, velocity grid, and acceptance threshold for sequence search.
 
     ``exclusion`` is the frame radius blanked around the best match when
-    finding the second best; None means 2*W.
+    finding the second best; None means 2*W.  ``mirror`` also scores every
+    line reversed (velocity -v for each grid velocity v); a reversed line
+    wins only on a strictly smaller score.
     """
 
     W: int = 10
@@ -101,6 +104,8 @@ def difference_matrix(query_seq, ref_seq) -> np.ndarray:
     r = np.atleast_2d(np.asarray(ref_seq, dtype=np.float64))
     if q.shape[0] == 0 or r.shape[0] == 0:
         raise EmptyInput("both sequences must be non-empty")
+    if q.shape[1] != r.shape[1]:
+        raise DimensionError(f"query descriptor dim {q.shape[1]}, reference dim {r.shape[1]}")
     return kernels.pairwise_l2(q, r)
 
 
@@ -113,16 +118,22 @@ def coarse_match(query, skf: SuperKeyframes) -> int:
     return int(np.argmin(d2))
 
 
-def _offset_grid(params: MatchParams) -> np.ndarray:
+def _offset_grid(params: MatchParams):
+    """(offsets, velocities): the shift round(v*t) of query row W-1-t per
+    velocity; with ``mirror``, followed by the negated (reversed) lines."""
     vels = params.velocities()
     w = np.arange(params.W, dtype=np.float64)
-    return np.floor(vels[:, None] * w[None, :] + 0.5).astype(np.int64)
+    offsets = np.floor(vels[:, None] * w[None, :] + 0.5).astype(np.int64)
+    if params.mirror:
+        return np.concatenate((offsets, -offsets)), np.concatenate((vels, -vels))
+    return offsets, vels
 
 
 def trajectory_score(m: np.ndarray, ref_end: int, v: float, w: int) -> float:
     """Mean difference along one trajectory line ending at ``ref_end``.
 
-    Query row R-1-t pairs with reference column ref_end - round(v*t); any
+    Query row R-1-t pairs with reference column ref_end - round(v*t), which
+    is -round(|v|*t) for a mirrored v < 0 as in the search grid; any
     projected column outside the matrix raises OutOfBounds.
     """
     mat = np.asarray(m, dtype=np.float64)
@@ -133,17 +144,11 @@ def trajectory_score(m: np.ndarray, ref_end: int, v: float, w: int) -> float:
         raise InvalidParams("window must be >= 1")
     total = 0.0
     for t in range(w):
-        col = ref_end - int(math.floor(v * t + 0.5))
+        col = ref_end - int(math.copysign(math.floor(abs(v) * t + 0.5), v))
         if not 0 <= col < cols:
             raise OutOfBounds(f"column {col} outside [0, {cols})")
         total += mat[rows - 1 - t, col]
     return total / w
-
-
-def _grid_minima(mat: np.ndarray, params: MatchParams):
-    """Best score and velocity index per reference end column (inf / -1 where
-    no velocity stays in bounds)."""
-    return kernels.trajectory_grid(mat, _offset_grid(params))
 
 
 def _best_and_second(scores: np.ndarray, excl: int):
@@ -161,15 +166,17 @@ def sequence_search(m: np.ndarray, params: MatchParams):
     """Exhaustive minimum over all (ref_end, velocity) trajectory lines.
 
     Returns (ref_end, velocity, score, second_best_score); ties prefer the
-    lower ref_end, then the lower velocity.  The second best is taken over
-    columns outside the exclusion zone around the best (inf when none).
+    lower ref_end, then the lower velocity (forward before mirrored).  The
+    second best is taken over columns outside the exclusion zone around the
+    best (inf when none).
     """
     mat = np.ascontiguousarray(m, dtype=np.float64)
     if params.W > mat.shape[0]:
         raise WindowTooLarge(f"window {params.W} exceeds {mat.shape[0]} rows")
-    scores, v_idx = _grid_minima(mat, params)
+    offsets, vels = _offset_grid(params)
+    scores, v_idx = kernels.trajectory_grid(mat, offsets)
     best, second = _best_and_second(scores, params.exclusion_frames)
-    return best, float(params.velocities()[v_idx[best]]), float(scores[best]), second
+    return best, float(vels[v_idx[best]]), float(scores[best]), second
 
 
 def _candidate_runs(skf: SuperKeyframes, cluster_id: int, w: int):
@@ -188,34 +195,10 @@ def _candidate_runs(skf: SuperKeyframes, cluster_id: int, w: int):
     return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
-def _run_firsts(labels: np.ndarray) -> np.ndarray:
-    """Index of the first column of each column's run; a run is a block of
-    equal adjacent ``labels``."""
-    start = np.ones(labels.shape[0], dtype=bool)
-    start[1:] = labels[1:] != labels[:-1]
-    return np.maximum.accumulate(np.where(start, np.arange(labels.shape[0]), 0))
-
-
-def _search_runs(mat: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
-                 vels: np.ndarray, mirror: bool):
-    """Best score and velocity per column of ``mat``, whose columns are runs
-    side by side (see :func:`_run_firsts`); no trajectory crosses a run's ends.
-
-    With ``mirror`` each run is also searched reversed; a reversed trajectory
-    wins only on a strictly smaller score and reports a negative velocity.
-    Velocities are NaN where no trajectory is in bounds.
-    """
-    scores, v_idx = kernels.trajectory_grid(mat, offsets, _run_firsts(labels))
-    vel = np.where(v_idx >= 0, vels[np.maximum(v_idx, 0)], np.nan)
-    if mirror:
-        r_scores, r_idx = kernels.trajectory_grid(mat[:, ::-1], offsets,
-                                                  _run_firsts(labels[::-1]))
-        r_scores = r_scores[::-1]
-        r_idx = r_idx[::-1]
-        better = r_scores < scores
-        scores = np.where(better, r_scores, scores)
-        vel = np.where(better, np.where(r_idx >= 0, -vels[np.maximum(r_idx, 0)], np.nan), vel)
-    return scores, vel
+def _run_bounds(labels: np.ndarray):
+    """(first, last): each column's run, the block of its label in the
+    non-decreasing ``labels``, is the columns [first, last)."""
+    return np.searchsorted(labels, labels, "left"), np.searchsorted(labels, labels, "right")
 
 
 def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
@@ -223,9 +206,9 @@ def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
     best or second best can lie; returns (score, velocity, known), with inf /
     NaN where ``known`` is False."""
     n = cols.shape[0]
-    first = _run_firsts(label)
-    last = n - _run_firsts(label[::-1])[::-1]
-    reach = int(offsets.max())  # columns a trajectory spans, less one
+    first, last = _run_bounds(label)
+    # columns a trajectory reaches back from, and forward of, its end column
+    back, ahead = int(offsets.max()), -int(offsets.min())
     # cells from one product, scores from one grid pass over lower|upper
     r = ref_desc[cols].astype(np.float64)
     sq_r = np.einsum("nd,nd->n", r, r)
@@ -233,8 +216,8 @@ def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
     slack = kernels.approx_slack(np.concatenate((sq_q, sq_r)))
     cells = np.concatenate((np.sqrt(np.maximum(approx - slack, 0.0)),
                             np.sqrt(approx + slack)), axis=1)
-    bound, _ = _search_runs(cells, np.concatenate((label, label + label[-1] + 1)),
-                            offsets, vels, params.mirror)
+    bound, _ = kernels.trajectory_grid(
+        cells, offsets, _run_bounds(np.concatenate((label, label + label[-1] + 1))))
     lower, upper = bound[:n], bound[n:]
 
     score = np.full(n, np.inf)
@@ -243,18 +226,19 @@ def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
 
     def score_exactly(want):
         # the span each trajectory of a wanted column reaches, within its run
-        s = np.maximum(first[want], want - reach)
-        e = np.minimum(last[want], want + 1 + (reach if params.mirror else 0))
+        s = np.maximum(first[want], want - back)
+        e = np.minimum(last[want], want + 1 + ahead)
         need = np.cumsum(np.bincount(s, minlength=n + 1) - np.bincount(e, minlength=n + 1))
         span = np.flatnonzero(need[:n] > 0)
         # a span ends where the marked columns stop or a run ends
         breaks = np.ones(span.shape[0], dtype=bool)
         breaks[1:] = (span[1:] != span[:-1] + 1) | (label[span[1:]] != label[span[:-1]])
         mat = kernels.pairwise_l2(q, ref_desc[cols[span]])
-        sc, ve = _search_runs(mat, np.cumsum(breaks), offsets, vels, params.mirror)
+        # velocities are read only at finite scores, where v_idx >= 0
+        sc, v_idx = kernels.trajectory_grid(mat, offsets, _run_bounds(np.cumsum(breaks)))
         at = np.searchsorted(span, want)
         score[want] = sc[at]
-        vel[want] = ve[at]
+        vel[want] = vels[v_idx[at]]
         known[want] = True
 
     def second_may(top):
@@ -284,8 +268,9 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     The newest descriptor picks a cluster; sequence search runs over every
     candidate run of that cluster; the global best is accepted iff a second
     best exists outside the exclusion zone and best < accept_ratio * second.
-    With ``params.mirror`` each run is also searched reversed, covering
-    segments revisited in the opposite travel direction.
+    With ``params.mirror`` the velocity grid also holds every line reversed
+    (negated offsets), covering segments revisited in the opposite travel
+    direction; a reversed line wins only on a strictly smaller score.
 
     The search follows the kernels' candidate rule.  One BLAS product over
     every run column gives each difference cell an approximate squared
@@ -303,11 +288,13 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     the result is that of scoring every column exactly.
 
     A query window with a NaN or inf, or whose squared norms overflow,
-    raises InvalidParams.
+    raises InvalidParams; one whose width is not the map's raises
+    DimensionError.
     """
     q = np.atleast_2d(np.asarray(query_window, dtype=np.float64))
     if q.shape[0] != params.W:
         raise InvalidParams(f"query window has {q.shape[0]} frames, expected {params.W}")
+    pmap.check_dim(q)
     sq_q = np.einsum("wd,wd->w", q, q)
     if not np.isfinite(sq_q).all():
         raise InvalidParams("query window must be finite, with finite squared norms")
@@ -316,8 +303,7 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     if not runs:
         raise InsufficientHistory(f"no candidate run of length >= {params.W}")
     ref_desc = pmap.descriptor_matrix()
-    vels = params.velocities()
-    offsets = _offset_grid(params)
+    offsets, vels = _offset_grid(params)
 
     # every run column side by side: its map column and its run's label
     lo, hi = np.array(runs).T

@@ -128,13 +128,22 @@ def test_match_diffmat_exports(corpus, tmp_path, capsys):
     assert np.abs(np.diag(m)).max() < 1e-6  # sigma 0: exact revisits
 
 
-def test_128d_descriptors_cluster_and_match(corpus, tmp_path, capsys):
-    """The net takes its width from the weight file, the LPDC centers the map's."""
-    weights = tmp_path / "w128.lpdw"
+@pytest.fixture(scope="module")
+def map128(corpus, tmp_path_factory):
+    """The corpus map described by a random 128-d net: (net flags, map path)."""
+    root = tmp_path_factory.mktemp("w128")
+    weights = root / "w128.lpdw"
     net.save_weights(net.random_weights(net.NetConfig(descriptor_dim=128), seed=0), weights)
     flags = ["--weights", str(weights), "--n-sub", "128", "--k-local", "8"]
-    mpath, cpath = tmp_path / "m.lpdm", tmp_path / "m.lpdc"
+    mpath = root / "m.lpdm"
     assert cli.main(["describe", str(corpus / "c" / "map"), "-o", str(mpath)] + flags) == 0
+    return flags, mpath
+
+
+def test_128d_descriptors_cluster_and_match(corpus, map128, tmp_path, capsys):
+    """The net takes its width from the weight file, the LPDC centers the map's."""
+    flags, mpath = map128
+    cpath = tmp_path / "m.lpdc"
     assert placemap.load(mpath).dim == 128
     capsys.readouterr()
     code, out, err = _run(["cluster", str(mpath), "-o", str(cpath), "--D", "2.0"], capsys)
@@ -155,6 +164,22 @@ def test_128d_descriptors_cluster_and_match(corpus, tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("E:FormatError:")
     assert "256-d centers, map dim 128" in err
+
+
+def test_query_width_other_than_the_map_is_one_error_line(corpus, map128, tmp_path, capsys):
+    # 256-d baseline queries against the 128-d map
+    _, mpath = map128
+    cpath = tmp_path / "m.lpdc"
+    assert cli.main(["cluster", str(mpath), "-o", str(cpath), "--D", "2.0"]) == 0
+    capsys.readouterr()
+    query = [str(corpus / "c" / "query")]
+    for extra in ([], ["--diffmat", str(tmp_path / "d.csv")]):
+        err = _one_error(["match", str(mpath), str(cpath)] + query + ["--W", "5"]
+                         + DESCRIBE_FLAGS + extra, capsys, "DimensionError")
+        assert "dim 256" in err and "dim 128" in err
+    err = _one_error(["eval", str(mpath)] + query + DESCRIBE_FLAGS + ["--gt-radius", "1.0"],
+                     capsys, "DimensionError")
+    assert "query descriptor dim 256, map dim 128" in err
 
 
 def test_eval_reports_metrics(corpus, capsys):
@@ -284,6 +309,14 @@ def _two_frames(corpus, tmp_path):
     for name in ("000000.bin", "000001.bin"):
         (frames / name).write_bytes((corpus / "c" / "map" / name).read_bytes())
     return frames
+
+
+def test_frame_listed_twice_in_poses_is_format_error(corpus, tmp_path, capsys):
+    frames = _two_frames(corpus, tmp_path)
+    (frames / "poses.csv").write_text("frame_id,x,y,z\n0,0,0,0\n1,1,0,0\n0,2,0,0\n")
+    err = _one_error(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")] + DESCRIBE_FLAGS,
+                     capsys, "FormatError")
+    assert "poses.csv:4" in err and "frame 0 listed twice" in err
 
 
 def test_unreadable_poses_are_one_error_line(corpus, tmp_path, capsys):

@@ -281,9 +281,13 @@ def test_run_aware_trajectory_grid_scores_each_run_alone(seed, w, lengths, v_max
         m = np.round(4 * m) / 4  # tied cells and tied scores
     vs = np.arange(0.5, v_max + 1e-9, 0.25)
     off = np.floor(vs[:, None] * np.arange(w)[None, :] + 0.5).astype(np.int64)
-    starts = np.cumsum([0] + lengths[:-1])
-    first = np.repeat(starts, lengths)
-    best, best_v = kernels.trajectory_grid(m, off, first)
+
+    def runs(lengths):
+        starts = np.cumsum([0] + lengths[:-1])
+        return starts, (np.repeat(starts, lengths), np.repeat(starts + lengths, lengths))
+
+    starts, bounds = runs(lengths)
+    best, best_v = kernels.trajectory_grid(m, off, bounds)
     for s, n in zip(starts, lengths):
         alone, alone_v = kernels.trajectory_grid(m[:, s:s + n], off)
         assert best[s:s + n].tobytes() == alone.tobytes()
@@ -294,14 +298,25 @@ def test_run_aware_trajectory_grid_scores_each_run_alone(seed, w, lengths, v_max
         np.testing.assert_allclose(best[s:s + n][finite], b_ref[finite], rtol=1e-12)
         np.testing.assert_array_equal(best_v[s:s + n], v_ref)
     # one run over every column is the call without runs
-    whole, whole_v = kernels.trajectory_grid(m, off, np.zeros(m.shape[1], dtype=np.int64))
+    cols = m.shape[1]
+    whole, whole_v = kernels.trajectory_grid(m, off, (np.zeros(cols, dtype=np.int64),
+                                                      np.full(cols, cols)))
     plain, plain_v = kernels.trajectory_grid(m, off)
     assert whole.tobytes() == plain.tobytes()
     np.testing.assert_array_equal(whole_v, plain_v)
+    # negated offsets score each run reversed: the reversed matrix and runs
+    _, rev_bounds = runs(lengths[::-1])
+    for bounds_neg, bounds_rev in ((bounds, rev_bounds), (None, None)):
+        neg, neg_v = kernels.trajectory_grid(m, -off, bounds_neg)
+        rev, rev_v = kernels.trajectory_grid(m[:, ::-1], off, bounds_rev)
+        assert neg.tobytes() == rev[::-1].tobytes()
+        np.testing.assert_array_equal(neg_v, rev_v[::-1])
 
 
 def test_trajectory_grid_validation():
     with pytest.raises(ValueError):
         kernels.trajectory_grid(np.ones((3, 10)), _offsets(5))
-    with pytest.raises(ValueError):
-        kernels.trajectory_grid(np.ones((5, 10)), -np.ones((2, 3), dtype=np.int64))
+    # offsets that only reach forward: column c needs c + 1 < cols
+    best, best_v = kernels.trajectory_grid(np.ones((5, 10)), -np.ones((2, 3), dtype=np.int64))
+    assert best.tolist() == [1.0] * 9 + [np.inf]
+    assert best_v.tolist() == [0] * 9 + [-1]

@@ -256,3 +256,26 @@ def test_sequence_search_and_detect_loop_share_one_selector(monkeypatch):
     c = cluster.kmeanspp(descs.astype(np.float64), K=1, seed=0)
     seqmatch.detect_loop(descs[10:14], pm, cluster.super_keyframes(pm, c), params)
     assert calls == [30, 30]
+
+
+def test_mirror_search_is_the_one_trajectory_grid(monkeypatch):
+    # mirror mode scores reversed lines as negated offsets of the same grid:
+    # no trajectory_grid call sees a reversed (negative-stride) matrix
+    calls = []
+    grid = seqmatch.kernels.trajectory_grid
+
+    def spy(m, offsets, *args, **kwargs):
+        calls.append((np.asarray(m).strides[1], int(np.asarray(offsets).min())))
+        return grid(m, offsets, *args, **kwargs)
+
+    monkeypatch.setattr(seqmatch.kernels, "trajectory_grid", spy)
+    descs = random_unit(np.random.default_rng(4), 40, 16)
+    params = seqmatch.MatchParams(W=5, mirror=True)
+    seqmatch.sequence_search(seqmatch.difference_matrix(descs[20:25][::-1], descs), params)
+    pm = placemap.PlaceMap()
+    for i, d in enumerate(descs):
+        pm.insert(placemap.PlaceEntry(i, Pose(0.0, 0.0, 0.0, i), d))
+    c = cluster.kmeanspp(descs.astype(np.float64), K=1, seed=0)
+    seqmatch.detect_loop(descs[20:25][::-1], pm, cluster.super_keyframes(pm, c), params)
+    assert len(calls) >= 3
+    assert all(stride > 0 and lowest < 0 for stride, lowest in calls), calls

@@ -108,6 +108,43 @@ def test_trajectory_score_matches_oracle_randomized():
             assert seqmatch.trajectory_score(m, ref_end, v, w) == pytest.approx(want, abs=1e-12)
 
 
+def _planted_reversed_line(v=0.9, w=10, ref_end=20):
+    """Uniform matrix whose zero cells trace the line ending at ``ref_end``
+    with velocity -``v``: row w-1-t holds a zero at ref_end + round(v*t)."""
+    m = np.random.default_rng(12).uniform(0.5, 1.0, size=(w, 50))
+    for t in range(w):
+        m[w - 1 - t, ref_end + int(math.floor(v * t + 0.5))] = 0.0
+    return m
+
+
+def test_trajectory_score_mirrored_velocity_rounds_as_the_grid():
+    # at v = -0.9, t = 5 the shift 4.5 rounds to 5, as in the grid's negated
+    # offsets; floor(-4.5 + 0.5) = -4 would read a nonzero cell instead
+    m = _planted_reversed_line()
+    assert seqmatch.trajectory_score(m, 20, -0.9, 10) == 0.0
+    params = seqmatch.MatchParams(W=10, mirror=True)
+    offsets, vels = seqmatch._offset_grid(params)
+    for off, v in zip(offsets, vels):
+        grid, _ = kernels.trajectory_grid(m, off[None, :])
+        scores = [seqmatch.trajectory_score(m, ref, v, 10) for ref in range(11, 39)]
+        assert np.array(scores).tobytes() == grid[11:39].tobytes()
+
+
+def test_sequence_search_mirror_finds_reversed_segment():
+    m = _planted_reversed_line()
+    ref_end, v, score, _ = seqmatch.sequence_search(m, seqmatch.MatchParams(W=10))
+    assert score > 0.0 and v > 0.0
+    ref_end, v, score, second = seqmatch.sequence_search(
+        m, seqmatch.MatchParams(W=10, mirror=True))
+    assert (ref_end, v, score) == (20, -0.9, 0.0) and second > 0.0
+    assert seqmatch.trajectory_score(m, ref_end, v, 10) == score
+    # a reversed copy of map descriptors, as detect_loop's mirror test walks it
+    base = random_unit(np.random.default_rng(13), 60, 16)
+    diff = seqmatch.difference_matrix(base[30:40][::-1], base)
+    ref_end, v, score, _ = seqmatch.sequence_search(diff, seqmatch.MatchParams(W=10, mirror=True))
+    assert (ref_end, v, score) == (30, pytest.approx(-1.0), 0.0)
+
+
 def test_sequence_search_planted_diagonal():
     m = np.ones((5, 20))
     for w, col in enumerate([12, 11, 10, 9, 8]):
@@ -338,7 +375,7 @@ def _per_run_reference(query_window, pm, skf, params):
         raise InsufficientHistory(f"no candidate run of length >= {params.W}")
     ref_desc = pm.descriptor_matrix()
     vels = params.velocities()
-    offsets = seqmatch._offset_grid(params)
+    offsets = np.floor(vels[:, None] * np.arange(params.W)[None, :] + 0.5).astype(np.int64)
     map_scores = np.full(runs[-1][1], np.inf)
     map_vel = np.full(runs[-1][1], np.nan)
     for lo, hi in runs:
