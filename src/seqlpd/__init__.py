@@ -23,7 +23,7 @@ from .errors import (DimensionError, EmptyDatabase, EmptyIndex, EmptyInput,
                      LengthMismatch, NoValidTrajectory, NormError, OrderError,
                      OutOfBounds, RunLengthError, SeqLPDError, ShapeError,
                      WindowTooLarge)
-from .features import local_features, planar_eigen, z_stats
+from .features import local_features
 from .metrics import (RecallResult, recall_at_n, recall_at_one_percent,
                       seq_protocol)
 from .net import (NetConfig, WeightSet, baseline_descriptor, describe,

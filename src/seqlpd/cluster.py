@@ -176,6 +176,21 @@ def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
     return x[np.array(chosen, dtype=np.int64)].copy()
 
 
+def _row_mean(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows].mean(axis=0)`` bit for bit, copying at most one row block at a time:
+    that sum adds the rows in order, so each block's sum starts from the running sum."""
+    step = kernels.row_block(x.shape[1])
+    if rows.shape[0] <= step or x.shape[1] == 1:  # one block; a single column sums pairwise
+        return x[rows].mean(axis=0)
+    buf = np.empty((step + 1, x.shape[1]))  # the running sum, then one block
+    for s in range(0, rows.shape[0], step):
+        r = rows[s:s + step]
+        # "clip" lets take write into buf without a temporary; the indices are valid
+        np.take(x, r, axis=0, out=buf[1:1 + r.shape[0]], mode="clip")
+        buf[0] = np.add.reduce(buf[int(s == 0):1 + r.shape[0]], axis=0)
+    return buf[0] / rows.shape[0]
+
+
 def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
              iters_max: int = 100) -> Clustering:
     """K-means++ seeding followed by Lloyd iterations until the assignment is fixed.
@@ -212,7 +227,7 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
             order = np.argsort(assign, kind="stable")
             bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
             for k in stale:
-                new_centers[k] = x[order[bounds[k]:bounds[k + 1]]].mean(axis=0)
+                new_centers[k] = _row_mean(x, order[bounds[k]:bounds[k + 1]])
         is_mean = counts > 0
         if not is_mean.all():
             pool = d2.copy()

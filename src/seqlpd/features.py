@@ -17,43 +17,11 @@ import numpy as np
 
 from . import kernels
 from .cloud import SpatialIndex, Submap
-from .errors import EmptyInput, InvalidParams
+from .errors import InvalidParams
 
 DEFAULT_K = 20
-EPS_EIG = 1e-12
 
 FEATURE_DIM = 4
-
-
-def z_stats(neighborhood) -> tuple:
-    """(max - min, population variance) of the neighborhood z values."""
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise EmptyInput("empty neighborhood")
-    z = pts[:, 2]
-    return float(z.max() - z.min()), float(z.var())
-
-
-def planar_eigen(neighborhood) -> tuple:
-    """Descending eigenvalues of the 2x2 population covariance of (x, y).
-
-    Uses the closed-form quadratic for symmetric 2x2 matrices; round-off
-    negatives are clamped to zero.
-    """
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise EmptyInput("empty neighborhood")
-    x = pts[:, 0] - pts[:, 0].mean()
-    y = pts[:, 1] - pts[:, 1].mean()
-    n = pts.shape[0]
-    cxx = float((x * x).sum() / n)
-    cyy = float((y * y).sum() / n)
-    cxy = float((x * y).sum() / n)
-    half = 0.5 * (cxx - cyy)
-    disc = float(np.sqrt(half * half + cxy * cxy))
-    lam1 = max(0.5 * (cxx + cyy) + disc, 0.0)
-    lam2 = max(0.5 * (cxx + cyy) - disc, 0.0)
-    return lam1, lam2
 
 
 def local_features(submap: Submap, k: int = DEFAULT_K) -> np.ndarray:

@@ -4,9 +4,9 @@ Every kernel is vectorized numpy and implements an exact contract:
 distances are computed with the direct squared-difference formula, and
 distance ties are always broken by the lower index.
 
-Both kNN kernels follow one candidate rule.  A fast source proposes k + 8
-candidates per query: a ``scipy.spatial.cKDTree`` for :func:`kdtree_knn`,
-a BLAS product of approximate squared distances for :func:`feature_knn`.
+Every kNN kernel follows one candidate rule.  A fast source proposes k + 8
+candidates per query: a ``scipy.spatial.cKDTree`` for :func:`kdtree_knn`, a
+BLAS product for :func:`feature_knn` and for retrieval's :func:`map_knn`.
 The source also gives a bound that every point it left out reaches: the
 tree's last candidate distance, or the smallest approximate value left
 out, each less its rounding.  :func:`_exact_knn` recomputes the
@@ -85,32 +85,49 @@ def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
-def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand: np.ndarray, bound,
+def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
                k: int, own=None) -> np.ndarray:
     """Exact k nearest ``pts`` rows per query from candidate columns ``cand``.
 
     Ranks each row's candidates by (exact squared distance, index).  Every
     point the candidate source left out lies at least ``bound`` away, so a
     row whose k-th exact distance reaches its bound may have an unseen point
-    tied with or closer than its k-th neighbor; that row is answered by an
-    exact scan of every point instead.  ``own`` (one point index per query)
-    is excluded from that scan, as the candidate source excluded it.
+    tied with or closer than its k-th neighbor; that row (every row when
+    ``cand`` is None) is answered by an exact scan of every point except its
+    ``own`` index, if given.  ``pts`` may be float32: a point is widened
+    exactly where it is subtracted.  Temporaries stay near ``_BLOCK_ELEMS``.
     """
-    diff = qs[:, None, :] - pts[cand]
-    d2 = np.einsum("bkd,bkd->bk", diff, diff)
-    order = np.lexsort((cand, d2), axis=1)[:, :k]
-    out = np.take_along_axis(cand, order, axis=1)
-    kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+    b, (n, d) = qs.shape[0], pts.shape
+    out = np.empty((b, k), dtype=np.int64)
+    kth = np.full(b, np.inf)
+    if cand is not None:
+        qstep = max(1, _BLOCK_ELEMS // max(1, cand.shape[1] * d))
+        for s in range(0, b, qstep):
+            c = cand[s:s + qstep]
+            diff = qs[s:s + qstep, None, :] - pts[c]
+            d2 = np.einsum("bkd,bkd->bk", diff, diff)
+            order = np.lexsort((c, d2), axis=1)[:, :k]
+            out[s:s + qstep] = np.take_along_axis(c, order, axis=1)
+            kth[s:s + qstep] = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
     bad = np.nonzero(kth >= bound)[0]
-    step = row_block(pts.size)
-    for s in range(0, bad.shape[0], step):
-        rows = bad[s:s + step]
-        diff = qs[rows, None, :] - pts[None, :, :]
-        full = np.einsum("bnd,bnd->bn", diff, diff)
+    step = row_block(d)
+    rstep = max(1, step // max(1, n))  # several rows when the points fit one block
+    for s in range(0, bad.shape[0], rstep):
+        rows = bad[s:s + rstep]
+        full = np.empty((rows.shape[0], n))
+        for c in range(0, n, step):
+            diff = qs[rows, None, :] - pts[None, c:c + step]
+            full[:, c:c + step] = np.einsum("bnd,bnd->bn", diff, diff)
         if own is not None:
             full[np.arange(rows.shape[0]), own[rows]] = np.inf
         out[rows] = _topk_rows(full, k)
     return out
+
+
+def _candidates(approx: np.ndarray, npre: int, slack: float):
+    """The ``npre`` smallest columns per row, and the smallest value left out less ``slack``."""
+    part = np.argpartition(approx, npre, axis=1)
+    return part[:, :npre], np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0] - slack
 
 
 def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
@@ -161,10 +178,30 @@ def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
         approx[own - s, own] = np.inf
         # column npre holds the smallest value left out (the row's own inf
         # when every other row is a candidate)
-        part = np.argpartition(approx, npre, axis=1)
-        unseen = np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0]
-        out[s:e] = _exact_knn(x[s:e], x, part[:, :npre], unseen - slack, kk, own)
+        cand, bound = _candidates(approx, npre, slack)
+        out[s:e] = _exact_knn(x[s:e], x, cand, bound, kk, own)
     return out
+
+
+def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
+    """k nearest ``pts`` rows per query row, ascending (squared distance, index).
+
+    ``pts`` (usually a map's float32 view) is widened one row block at a time
+    for the BLAS product; when k + 8 covers the map, every query is scanned.
+    """
+    qs = np.ascontiguousarray(queries, dtype=np.float64)
+    n, kk = pts.shape[0], min(k, pts.shape[0])
+    if kk + _KNN_SLACK >= n:
+        return _exact_knn(qs, pts, None, np.inf, kk)
+    sqq = np.einsum("qd,qd->q", qs, qs)
+    approx, sqp = np.empty((qs.shape[0], n)), np.empty(n)
+    step = row_block(pts.shape[1])
+    for s in range(0, n, step):
+        blk = pts[s:s + step].astype(np.float64)
+        sqp[s:s + step] = np.einsum("nd,nd->n", blk, blk)
+        approx[:, s:s + step] = sqq[:, None] + sqp[None, s:s + step] - 2.0 * (qs @ blk.T)
+    cand, bound = _candidates(approx, kk + _KNN_SLACK, approx_slack(np.append(sqq, sqp)))
+    return _exact_knn(qs, pts, cand, bound, kk)
 
 
 def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:

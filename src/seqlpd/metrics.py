@@ -1,7 +1,9 @@
 """Retrieval metrics: Average Recall@N, Recall@1%, and the 5-frame sequence protocol.
 
-A query succeeds at N when any of its N nearest database descriptors (L2,
-ties to the lower index) lies within ``gt_radius`` of the query pose.
+A query succeeds at N when one of its N nearest database descriptors by
+(exact squared L2, index) lies within ``gt_radius`` of its pose.  A BLAS
+product proposes N + 8 candidates; the smallest value left out, less
+``kernels.approx_slack``, bounds the rest (``kernels.map_knn``).
 Queries with no positive in the database at all are skipped and reported
 separately.  The sequence protocol scores runs of exactly five consecutive
 frames: a run counts as correct when at least ``min_successes`` of its
@@ -41,19 +43,7 @@ def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
     return [np.flatnonzero(row <= gt_radius) for row in dists]
 
 
-def _top_n(query_descs: np.ndarray, db_descs: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n nearest database rows per query, ties to lower index.
-
-    ``db_descs`` (the map's float32 view) is widened to float64 one row block
-    at a time, so no float64 copy of the whole map is made; each distance is
-    the one :func:`kernels.pairwise_l2` gives against the whole widened map.
-    """
-    dist = np.empty((query_descs.shape[0], db_descs.shape[0]))
-    step = kernels.row_block(db_descs.shape[1])
-    for s in range(0, db_descs.shape[0], step):
-        dist[:, s:s + step] = kernels.pairwise_l2(query_descs,
-                                                  db_descs[s:s + step].astype(np.float64))
-    return kernels._topk_rows(dist, n)
+_top_n = kernels.map_knn  # (queries, db_descs, n) -> n nearest database rows per query
 
 
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
@@ -67,14 +57,8 @@ def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
     db.check_dim(q)
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)
     top = _top_n(q, db.descriptor_matrix(), min(n, len(db)))
-    hits = 0
-    evaluated = 0
-    for qi, pos in enumerate(positives):
-        if pos.shape[0] == 0:
-            continue
-        evaluated += 1
-        if np.isin(top[qi], pos).any():
-            hits += 1
+    evaluated = sum(pos.shape[0] > 0 for pos in positives)
+    hits = sum(bool(np.isin(t, pos).any()) for t, pos in zip(top, positives))
     pct = 100.0 * hits / evaluated if evaluated else 0.0
     return RecallResult(percentage=pct, evaluated=evaluated,
                         skipped=len(positives) - evaluated, N=n)
@@ -104,22 +88,18 @@ def seq_protocol(query_runs, db: PlaceMap, gt_radius: float,
     runs = list(query_runs)
     if not runs:
         return 0.0
-    db_desc = db.descriptor_matrix()
-    db_poses = db.pose_matrix()
-    correct = 0
+    frames, positives = [], []
     for descs, poses in runs:
         d = np.atleast_2d(np.asarray(descs, dtype=np.float64))
         p = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
         if d.shape[0] != RUN_LEN or p.shape[0] != RUN_LEN:
             raise RunLengthError(f"runs must have exactly {RUN_LEN} frames")
         db.check_dim(d)
-        positives = ground_truth(p, db_poses, gt_radius)
-        top1 = _top_n(d, db_desc, 1)[:, 0]
-        wins = sum(1 for f in range(RUN_LEN)
-                   if positives[f].shape[0] > 0 and top1[f] in positives[f])
-        if wins >= min_successes:
-            correct += 1
-    return 100.0 * correct / len(runs)
+        positives += ground_truth(p, db.pose_matrix(), gt_radius)
+        frames.append(d)
+    top1 = _top_n(np.concatenate(frames), db.descriptor_matrix(), 1)[:, 0]
+    wins = np.array([top in pos for top, pos in zip(top1, positives)]).reshape(-1, RUN_LEN)
+    return 100.0 * int((wins.sum(axis=1) >= min_successes).sum()) / len(runs)
 
 
 def report_lines(rows) -> list:

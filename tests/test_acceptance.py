@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (orthogonal_to, quadruplet_oracle, random_unit,
                      retrieval_oracle, trajectory_score_oracle)
-from seqlpd import cli, cluster, config, features, kernels, metrics, net, placemap
+from seqlpd import cli, cluster, config, kernels, metrics, net, placemap
 from seqlpd import seqmatch, synth
 from seqlpd.cloud import Pose, SpatialIndex, Submap
 from seqlpd.errors import FormatError
@@ -91,17 +91,16 @@ def test_criterion_02_eigen_closed_form():
         nb = rng.uniform(-5.0, 5.0, size=(n, 3)) * rng.uniform(1e-3, 10.0)
         if trial % 10 == 0:  # collinear: lam2 exactly zero up to round-off
             nb[:, 1] = 0.7 * nb[:, 0] + 2.0
-        lam1, lam2 = features.planar_eigen(nb)
+        _, _, s2d, l2d = kernels.local_stats(nb, np.arange(n)[None, :])[0]
         xy = nb[:, :2] - nb[:, :2].mean(axis=0)
         ref = np.linalg.eigvalsh(xy.T @ xy / n)
-        for got, want in ((lam1, ref[1]), (lam2, max(ref[0], 0.0))):
+        lam1, lam2 = ref[1], max(ref[0], 0.0)
+        l2d_want = lam2 / lam1 if lam1 >= 1e-12 else 0.0
+        s2d_var = nb[:, 0].var() + nb[:, 1].var()
+        for got, want in ((s2d, lam1 + lam2), (l2d, l2d_want), (s2d, s2d_var)):
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
             assert err <= 1e-9
-        s2d_want = nb[:, 0].var() + nb[:, 1].var()
-        err = abs((lam1 + lam2) - s2d_want) / max(1.0, s2d_want)
-        worst = max(worst, err)
-        assert err <= 1e-9
     _report(2, f"1000 neighborhoods, worst relative error {worst:.2e} <= 1e-9")
 
 

@@ -590,3 +590,20 @@ def test_lpdc_huge_k_is_format_error_before_allocating(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # nothing was sized by the header's K
+
+
+def test_kmeanspp_means_copy_no_cluster():
+    rng = np.random.default_rng(15)
+    x = random_unit(rng, 8192, 256).astype(np.float64)
+    x[::2, 0] += 3.0  # two clusters of 4,096 rows, 8 row blocks each
+    tracemalloc.start()
+    try:
+        c = cluster.kmeanspp(x, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.bincount(c.assignment).tolist() == [4096, 4096]
+    assert peak < 4096 * 256 * 8
+    centers, assignment, _ = kmeans_oracle(x, 2, 0)
+    assert c.centers.tobytes() == centers.tobytes()
+    np.testing.assert_array_equal(c.assignment, assignment)

@@ -4,7 +4,8 @@ import pytest
 from seqlpd import cloud, features
 from seqlpd.errors import InvalidParams
 
-from oracles import feature_knn_oracle, knn_oracle, local_feature_oracle
+from oracles import (feature_knn_oracle, knn_oracle, local_feature_oracle, planar_eigen,
+                     z_stats)
 
 
 def _random_submap(rng, n=200):
@@ -14,21 +15,21 @@ def _random_submap(rng, n=200):
 
 def test_z_stats_hand_case():
     nb = np.array([[0, 0, 0.0], [0, 0, 1.0], [0, 0, 2.0]])
-    dz, zv = features.z_stats(nb)
+    dz, zv = z_stats(nb)
     assert dz == 2.0
     assert zv == pytest.approx(2.0 / 3.0)   # population variance of {0,1,2}
 
 
 def test_z_stats_constant_height():
     nb = np.tile([1.0, 2.0, 5.0], (4, 1))
-    dz, zv = features.z_stats(nb)
+    dz, zv = z_stats(nb)
     assert dz == 0.0 and zv == 0.0
 
 
 def test_planar_eigen_axis_aligned():
     # x spread 2 units, y spread 1 unit, uncorrelated
     nb = np.array([[-1, 0, 0], [1, 0, 0], [0, -0.5, 0], [0, 0.5, 0.0]])
-    l1, l2 = features.planar_eigen(nb)
+    l1, l2 = planar_eigen(nb)
     xy = nb[:, :2] - nb[:, :2].mean(axis=0)
     cov = (xy.T @ xy) / len(nb)
     lam = np.sort(np.linalg.eigvalsh(cov))
@@ -40,7 +41,7 @@ def test_planar_eigen_matches_numpy_randomized():
     rng = np.random.default_rng(0)
     for _ in range(300):
         nb = rng.normal(size=(rng.integers(2, 30), 3))
-        l1, l2 = features.planar_eigen(nb)
+        l1, l2 = planar_eigen(nb)
         xy = nb[:, :2] - nb[:, :2].mean(axis=0)
         lam = np.sort(np.linalg.eigvalsh((xy.T @ xy) / len(nb)))
         assert l1 == pytest.approx(max(lam[1], 0.0), rel=1e-9, abs=1e-12)
@@ -51,7 +52,7 @@ def test_planar_eigen_matches_numpy_randomized():
 def test_planar_eigen_collinear_gives_zero_l2():
     t = np.linspace(0, 1, 9)
     nb = np.stack([t, 2.0 * t, np.zeros_like(t)], axis=1)
-    l1, l2 = features.planar_eigen(nb)
+    l1, l2 = planar_eigen(nb)
     assert l1 > 0.0
     assert l2 == pytest.approx(0.0, abs=1e-12)
 

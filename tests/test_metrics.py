@@ -2,21 +2,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlpd import kernels, metrics, placemap
 from seqlpd.cloud import Pose
-from seqlpd.errors import EmptyDatabase, InvalidParams, RunLengthError
+from seqlpd.errors import DimensionError, EmptyDatabase, InvalidParams, RunLengthError
 
-from oracles import orthogonal_to, random_unit, retrieval_oracle
+from oracles import knn_oracle, orthogonal_to, random_unit, retrieval_oracle
+
+
+def _place_map(descs, poses):
+    pm = placemap.PlaceMap()
+    for i in range(descs.shape[0]):
+        pm.insert(placemap.PlaceEntry(i, Pose(*poses[i], i), descs[i]))
+    return pm
 
 
 def _corpus(rng, n=50, dim=64, spacing=5.0):
     descs = random_unit(rng, n, dim)
     poses = np.stack([spacing * np.arange(n), np.zeros(n), np.zeros(n)], axis=1)
-    pm = placemap.PlaceMap()
-    for i in range(n):
-        pm.insert(placemap.PlaceEntry(i, Pose(*poses[i], i), descs[i]))
-    return pm, descs, poses
+    return _place_map(descs, poses), descs, poses
 
 
 def test_self_eval_recall_is_100():
@@ -176,24 +182,87 @@ def test_seq_protocol_run_length_enforced():
         metrics.seq_protocol([(descs[:5], poses[:5])], pm, 1.0, min_successes=0)
 
 
-def test_metrics_make_no_float64_copy_of_the_map():
+def test_seq_protocol_checks_each_run_before_the_next():
+    # one ranking serves every run, but the checks still run run by run:
+    # length, width, then the radius (ground truth) of run 1 before run 2
+    rng = np.random.default_rng(11)
+    pm, descs, poses = _corpus(rng, n=10)
+    good, short = (descs[:5], poses[:5]), (descs[:4], poses[:4])
+    wide = (np.hstack([descs[:5], descs[:5]]), poses[:5])
+    for runs, radius, err in (([good, short], 1.0, RunLengthError),
+                              ([good, short], 0.0, InvalidParams),
+                              ([short, good], 0.0, RunLengthError),
+                              ([good, wide], 1.0, DimensionError),
+                              ([wide, short], 1.0, DimensionError)):
+        with pytest.raises(err):
+            metrics.seq_protocol(runs, pm, radius)
+
+
+def test_metrics_make_no_float64_copy_of_the_map(monkeypatch):
     rng = np.random.default_rng(10)
-    pm, descs, poses = _corpus(rng, n=4096, dim=256)
+    descs = random_unit(rng, 4096, 256)
+    descs[3000:3012] = descs[3000]  # 12 rows tie at the query's first distance
+    poses = np.stack([5.0 * np.arange(4096), np.zeros(4096), np.zeros(4096)], axis=1)
+    pm = _place_map(descs, poses)
     copy_bytes = 4096 * 256 * 8
-    q = descs[[7, 2048, 4095]]
+    q, qp = descs[[7, 2048, 4095, 3005]], poses[[7, 2048, 4095, 3000]]
     runs = [(descs[i:i + 5], poses[i:i + 5]) for i in (0, 1000, 4000)]
-    want_recall = retrieval_oracle(q, poses[[7, 2048, 4095]], descs, poses, 1.0, 1)[0]
+    n_one = metrics.one_percent_n(4096)
+    want = [retrieval_oracle(q, qp, descs, poses, 1.0, n)[0] for n in (1, n_one)]
+    scans = []
+    topk = kernels._topk_rows
+    monkeypatch.setattr(kernels, "_topk_rows",
+                        lambda d2, k: scans.append(d2.shape[0]) or topk(d2, k))
     tracemalloc.start()
     try:
-        got_recall = metrics.recall_at_n(q, poses[[7, 2048, 4095]], pm, 1.0, 1).percentage
+        got_recall = metrics.recall_at_n(q, qp, pm, 1.0, 1).percentage
         recall_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got_one = metrics.recall_at_one_percent(q, qp, pm, 1.0)
+        one_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         got_seq = metrics.seq_protocol(runs, pm, 1.0)
         seq_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (got_recall, got_seq) == (want_recall, 100.0)
-    assert recall_peak < copy_bytes and seq_peak < copy_bytes
+    # the tied query's first distance reaches its bound: one exact scan
+    assert sum(scans) == 1
+    assert (got_recall, got_one.percentage, got_seq) == (*want, 100.0) == (100.0, 100.0, 100.0)
+    assert got_one.N == n_one == 41
+    assert max(recall_peak, one_peak, seq_peak) < copy_bytes
+
+
+@st.composite
+def _retrieval_case(draw):
+    """A map, float64 queries and an N: float32 unit rows, or a rounded grid
+    with repeated rows.  Half the cases add at least N + 9 copies of the
+    first query to the map, so that query's N-th distance is tied past its
+    N + 8 candidates and takes the exact scan."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.sampled_from([3, 64, 256]))
+    rows = draw(st.integers(1, 120))
+    nq = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        db = random_unit(rng, rows, d)
+        q = db[rng.integers(0, rows, size=nq)] + 0.1 * rng.normal(size=(nq, d))
+    else:
+        db = np.round(rng.normal(size=(rows, d)))
+        db = db[rng.integers(0, rows, size=rows)].astype(np.float32)
+        q = np.round(rng.normal(size=(nq, d)))
+    n = draw(st.integers(1, rows))
+    if draw(st.booleans()):
+        copies = n + 9 + draw(st.integers(0, 20))
+        q[0] = db[0]
+        db = np.concatenate([db, np.repeat(db[:1], copies, axis=0)])
+        db = db[rng.permutation(rows + copies)]
+    return db, q.astype(np.float64), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_retrieval_case())
+def test_top_n_is_the_exhaustive_squared_distance_ranking(case):
+    db, q, n = case
+    np.testing.assert_array_equal(metrics._top_n(q, db, n), knn_oracle(db, q, n))
 
 
 def test_report_lines_format():

@@ -279,3 +279,16 @@ def test_mirror_search_is_the_one_trajectory_grid(monkeypatch):
     seqmatch.detect_loop(descs[20:25][::-1], pm, cluster.super_keyframes(pm, c), params)
     assert len(calls) >= 3
     assert all(stride > 0 and lowest < 0 for stride, lowest in calls), calls
+
+
+def test_one_exact_knn():
+    # the exhaustive top-k runs only as the fallback scan of the one exact kNN
+    callers = []
+    for name, tree in _sources():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    ident = getattr(node, "id", None) or getattr(node, "attr", None)
+                    if ident == "_topk_rows":
+                        callers.append((name, func.name))
+    assert callers == [("kernels.py", "_exact_knn")], callers
