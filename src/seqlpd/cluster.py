@@ -179,10 +179,10 @@ def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
 def _row_mean(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x[rows].mean(axis=0)`` bit for bit, copying at most one row block at a time:
     that sum adds the rows in order, so each block's sum starts from the running sum."""
-    step = kernels.row_block(x.shape[1])
-    if rows.shape[0] <= step or x.shape[1] == 1:  # one block; a single column sums pairwise
+    if x.shape[1] == 1:  # numpy sums a single column pairwise
         return x[rows].mean(axis=0)
-    buf = np.empty((step + 1, x.shape[1]))  # the running sum, then one block
+    step = kernels.row_block(x.shape[1])
+    buf = np.empty((min(step, rows.shape[0]) + 1, x.shape[1]))  # the running sum, then one block
     for s in range(0, rows.shape[0], step):
         r = rows[s:s + step]
         # "clip" lets take write into buf without a temporary; the indices are valid

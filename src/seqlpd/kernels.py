@@ -92,23 +92,22 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
     Ranks each row's candidates by (exact squared distance, index).  Every
     point the candidate source left out lies at least ``bound`` away, so a
     row whose k-th exact distance reaches its bound may have an unseen point
-    tied with or closer than its k-th neighbor; that row (every row when
-    ``cand`` is None) is answered by an exact scan of every point except its
-    ``own`` index, if given.  ``pts`` may be float32: a point is widened
-    exactly where it is subtracted.  Temporaries stay near ``_BLOCK_ELEMS``.
+    tied with or closer than its k-th neighbor; that row is answered by an
+    exact scan of every point except its ``own`` index, if given.  ``pts``
+    may be float32: a point is widened exactly where it is subtracted.
+    Temporaries stay near ``_BLOCK_ELEMS``.
     """
     b, (n, d) = qs.shape[0], pts.shape
     out = np.empty((b, k), dtype=np.int64)
-    kth = np.full(b, np.inf)
-    if cand is not None:
-        qstep = max(1, _BLOCK_ELEMS // max(1, cand.shape[1] * d))
-        for s in range(0, b, qstep):
-            c = cand[s:s + qstep]
-            diff = qs[s:s + qstep, None, :] - pts[c]
-            d2 = np.einsum("bkd,bkd->bk", diff, diff)
-            order = np.lexsort((c, d2), axis=1)[:, :k]
-            out[s:s + qstep] = np.take_along_axis(c, order, axis=1)
-            kth[s:s + qstep] = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+    kth = np.empty(b)
+    qstep = max(1, _BLOCK_ELEMS // max(1, cand.shape[1] * d))
+    for s in range(0, b, qstep):
+        c = cand[s:s + qstep]
+        diff = qs[s:s + qstep, None, :] - pts[c]
+        d2 = np.einsum("bkd,bkd->bk", diff, diff)
+        order = np.lexsort((c, d2), axis=1)[:, :k]
+        out[s:s + qstep] = np.take_along_axis(c, order, axis=1)
+        kth[s:s + qstep] = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
     bad = np.nonzero(kth >= bound)[0]
     step = row_block(d)
     rstep = max(1, step // max(1, n))  # several rows when the points fit one block
@@ -187,12 +186,12 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
     """k nearest ``pts`` rows per query row, ascending (squared distance, index).
 
     ``pts`` (usually a map's float32 view) is widened one row block at a time
-    for the BLAS product; when k + 8 covers the map, every query is scanned.
+    for the BLAS product; when k + 8 covers the map, every row is a candidate.
     """
     qs = np.ascontiguousarray(queries, dtype=np.float64)
     n, kk = pts.shape[0], min(k, pts.shape[0])
     if kk + _KNN_SLACK >= n:
-        return _exact_knn(qs, pts, None, np.inf, kk)
+        return _exact_knn(qs, pts, np.broadcast_to(np.arange(n), (qs.shape[0], n)), np.inf, kk)
     sqq = np.einsum("qd,qd->q", qs, qs)
     approx, sqp = np.empty((qs.shape[0], n)), np.empty(n)
     step = row_block(pts.shape[1])

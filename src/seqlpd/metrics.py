@@ -43,9 +43,6 @@ def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
     return [np.flatnonzero(row <= gt_radius) for row in dists]
 
 
-_top_n = kernels.map_knn  # (queries, db_descs, n) -> n nearest database rows per query
-
-
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
                 n: int) -> RecallResult:
     """Fraction of evaluated queries whose top-N retrieval hits a true positive."""
@@ -56,7 +53,7 @@ def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
     q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
     db.check_dim(q)
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)
-    top = _top_n(q, db.descriptor_matrix(), min(n, len(db)))
+    top = kernels.map_knn(q, db.descriptor_matrix(), min(n, len(db)))
     evaluated = sum(pos.shape[0] > 0 for pos in positives)
     hits = sum(bool(np.isin(t, pos).any()) for t, pos in zip(top, positives))
     pct = 100.0 * hits / evaluated if evaluated else 0.0
@@ -97,7 +94,7 @@ def seq_protocol(query_runs, db: PlaceMap, gt_radius: float,
         db.check_dim(d)
         positives += ground_truth(p, db.pose_matrix(), gt_radius)
         frames.append(d)
-    top1 = _top_n(np.concatenate(frames), db.descriptor_matrix(), 1)[:, 0]
+    top1 = kernels.map_knn(np.concatenate(frames), db.descriptor_matrix(), 1)[:, 0]
     wins = np.array([top in pos for top, pos in zip(top1, positives)]).reshape(-1, RUN_LEN)
     return 100.0 * int((wins.sum(axis=1) >= min_successes).sum()) / len(runs)
 

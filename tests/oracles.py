@@ -34,33 +34,6 @@ def feature_knn_oracle(feats: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def z_stats(neighborhood) -> tuple:
-    """(max - min, population variance) of the neighborhood z values."""
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    z = pts[:, 2]
-    return float(z.max() - z.min()), float(z.var())
-
-
-def planar_eigen(neighborhood) -> tuple:
-    """Descending eigenvalues of the 2x2 population covariance of (x, y).
-
-    The scalar form of the closed-form quadratic ``kernels.local_stats``
-    uses for symmetric 2x2 matrices; round-off negatives are clamped to zero.
-    """
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    x = pts[:, 0] - pts[:, 0].mean()
-    y = pts[:, 1] - pts[:, 1].mean()
-    n = pts.shape[0]
-    cxx = float((x * x).sum() / n)
-    cyy = float((y * y).sum() / n)
-    cxy = float((x * y).sum() / n)
-    half = 0.5 * (cxx - cyy)
-    disc = float(np.sqrt(half * half + cxy * cxy))
-    lam1 = max(0.5 * (cxx + cyy) + disc, 0.0)
-    lam2 = max(0.5 * (cxx + cyy) - disc, 0.0)
-    return lam1, lam2
-
-
 def local_feature_oracle(pts: np.ndarray, nbr_row: np.ndarray):
     """(dz_max, z_var, s2d, l2d) of one neighborhood via numpy.linalg."""
     nb = np.asarray(pts, dtype=np.float64)[np.asarray(nbr_row, dtype=np.int64)]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from seqlpd import cloud, features
+from seqlpd import cloud, features, kernels
 from seqlpd.errors import InvalidParams
 
-from oracles import (feature_knn_oracle, knn_oracle, local_feature_oracle, planar_eigen,
-                     z_stats)
+from oracles import feature_knn_oracle, knn_oracle, local_feature_oracle
 
 
 def _random_submap(rng, n=200):
@@ -13,48 +12,57 @@ def _random_submap(rng, n=200):
     return cloud.Submap(points=pts, scale=1.0)
 
 
+def _stats(nb):
+    """kernels.local_stats of one neighborhood: (dz_max, z_var, s2d, l2d)."""
+    nb = np.asarray(nb, dtype=np.float64)
+    return kernels.local_stats(nb, np.arange(nb.shape[0])[None, :])[0]
+
+
+def _planar_eigen(nb):
+    """Ascending eigenvalues of the 2x2 population covariance of (x, y), by numpy.linalg."""
+    xy = nb[:, :2] - nb[:, :2].mean(axis=0)
+    return np.sort(np.linalg.eigvalsh((xy.T @ xy) / len(nb)))
+
+
 def test_z_stats_hand_case():
     nb = np.array([[0, 0, 0.0], [0, 0, 1.0], [0, 0, 2.0]])
-    dz, zv = z_stats(nb)
+    dz, zv = _stats(nb)[:2]
     assert dz == 2.0
     assert zv == pytest.approx(2.0 / 3.0)   # population variance of {0,1,2}
 
 
 def test_z_stats_constant_height():
     nb = np.tile([1.0, 2.0, 5.0], (4, 1))
-    dz, zv = z_stats(nb)
+    dz, zv = _stats(nb)[:2]
     assert dz == 0.0 and zv == 0.0
 
 
 def test_planar_eigen_axis_aligned():
     # x spread 2 units, y spread 1 unit, uncorrelated
     nb = np.array([[-1, 0, 0], [1, 0, 0], [0, -0.5, 0], [0, 0.5, 0.0]])
-    l1, l2 = planar_eigen(nb)
-    xy = nb[:, :2] - nb[:, :2].mean(axis=0)
-    cov = (xy.T @ xy) / len(nb)
-    lam = np.sort(np.linalg.eigvalsh(cov))
-    assert l1 == pytest.approx(lam[1], rel=1e-12)
-    assert l2 == pytest.approx(lam[0], rel=1e-12)
+    s2d, l2d = _stats(nb)[2:]
+    lam = _planar_eigen(nb)
+    assert s2d == pytest.approx(lam[0] + lam[1], rel=1e-12)
+    assert l2d == pytest.approx(lam[0] / lam[1], rel=1e-12)
 
 
 def test_planar_eigen_matches_numpy_randomized():
     rng = np.random.default_rng(0)
     for _ in range(300):
         nb = rng.normal(size=(rng.integers(2, 30), 3))
-        l1, l2 = planar_eigen(nb)
-        xy = nb[:, :2] - nb[:, :2].mean(axis=0)
-        lam = np.sort(np.linalg.eigvalsh((xy.T @ xy) / len(nb)))
-        assert l1 == pytest.approx(max(lam[1], 0.0), rel=1e-9, abs=1e-12)
-        assert l2 == pytest.approx(max(lam[0], 0.0), rel=1e-9, abs=1e-12)
-        assert l1 >= l2 >= 0.0
+        s2d, l2d = _stats(nb)[2:]
+        lam = np.clip(_planar_eigen(nb), 0.0, None)
+        assert s2d == pytest.approx(lam[0] + lam[1], rel=1e-9, abs=1e-12)
+        assert l2d == pytest.approx(lam[0] / lam[1], rel=1e-9, abs=1e-12)
+        assert 1.0 >= l2d >= 0.0
 
 
 def test_planar_eigen_collinear_gives_zero_l2():
     t = np.linspace(0, 1, 9)
     nb = np.stack([t, 2.0 * t, np.zeros_like(t)], axis=1)
-    l1, l2 = planar_eigen(nb)
-    assert l1 > 0.0
-    assert l2 == pytest.approx(0.0, abs=1e-12)
+    s2d, l2d = _stats(nb)[2:]
+    assert s2d > 0.0
+    assert l2d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_local_features_match_oracle():

@@ -98,7 +98,7 @@ def test_top_n_equals_stable_sort_on_ties():
         q = np.round(rng.normal(size=(int(rng.integers(1, 12)), 3)))
         n = int(rng.integers(1, db.shape[0] + 1))
         want = np.argsort(kernels.pairwise_l2(q, db), axis=1, kind="stable")[:, :n]
-        np.testing.assert_array_equal(metrics._top_n(q, db, n), want)
+        np.testing.assert_array_equal(kernels.map_knn(q, db, n), want)
 
 
 def test_recall_one_percent_n_rule():
@@ -262,7 +262,7 @@ def _retrieval_case(draw):
 @given(_retrieval_case())
 def test_top_n_is_the_exhaustive_squared_distance_ranking(case):
     db, q, n = case
-    np.testing.assert_array_equal(metrics._top_n(q, db, n), knn_oracle(db, q, n))
+    np.testing.assert_array_equal(kernels.map_knn(q, db, n), knn_oracle(db, q, n))
 
 
 def test_report_lines_format():
