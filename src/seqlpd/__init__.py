@@ -14,8 +14,8 @@ worker pools.
 from .cloud import (PointCloud, Pose, SpatialIndex, Submap, accumulate_submap,
                     load_csv, load_kitti_bin, normalize_submap)
 from .cluster import (ClusterParams, Clustering, ElbowResult, SuperKeyframes,
-                      elbow_select, kmeanspp, load_clusters, nearest_in_cluster,
-                      save_clusters, super_keyframes)
+                      elbow_select, kmeanspp, load_clusters, save_clusters,
+                      super_keyframes)
 from .config import Config
 from .errors import (DimensionError, EmptyDatabase, EmptyIndex, EmptyInput,
                      EmptySuperKeyframes, FormatError, InsufficientHistory,
@@ -27,9 +27,9 @@ from .features import local_features
 from .metrics import (RecallResult, recall_at_n, recall_at_one_percent,
                       seq_protocol)
 from .net import (NetConfig, WeightSet, baseline_descriptor, describe,
-                  describe_many, feature_transform, graph_aggregate,
-                  input_transform, lazy_quadruplet_loss, load_weights, netvlad,
-                  random_weights, save_weights)
+                  feature_transform, graph_aggregate, input_transform,
+                  lazy_quadruplet_loss, load_weights, netvlad, random_weights,
+                  save_weights)
 from .placemap import PlaceEntry, PlaceMap
 from .seqmatch import (MatchParams, MatchResult, coarse_match, detect_loop,
                        difference_matrix, sequence_search, trajectory_score)

@@ -86,8 +86,7 @@ def _describe_dir(input_dir, cfg: config_mod.Config, model):
     """
     names = _list_frames(input_dir)
     pose_table = _load_poses(input_dir)
-    clouds = []
-    ids = []
+    clouds, ids = [], []
     for i, name in enumerate(names):
         path = os.path.join(input_dir, name)
         stem = name.rsplit(".", 1)[0]
@@ -157,20 +156,11 @@ def cmd_cluster(args) -> int:
     pmap = placemap.load(args.map)
     if len(pmap) == 0:
         raise EmptyInput("empty place map")
-    desc = pmap.descriptor_matrix().astype(np.float64)
-    if len(pmap) == 1:
-        clustering = cluster_mod.Clustering(K=1, centers=desc[:1].copy(),
-                                            assignment=np.zeros(1, dtype=np.int64),
-                                            distortion=0.0, history=(0.0,))
-        constraint_ok = True
-    else:
-        res = cluster_mod.elbow_select(desc, params)
-        clustering = res.clustering
-        constraint_ok = res.constraint_ok
-    skf = cluster_mod.super_keyframes(pmap, clustering)
+    res = cluster_mod.elbow_select(pmap.descriptor_matrix(), params)
+    skf = cluster_mod.super_keyframes(pmap, res.clustering)
     cluster_mod.save_clusters(skf, params.D, args.out)
-    flag = "true" if constraint_ok else "false"
-    print(f"K={clustering.K} distortion={clustering.distortion:.6f} constraint_ok={flag}")
+    flag = "true" if res.constraint_ok else "false"
+    print(f"K={res.K} distortion={res.clustering.distortion:.6f} constraint_ok={flag}")
     fids = pmap.frame_ids()
     for k in range(skf.K):
         print(f"cluster={k} size={skf.cluster_size(k)} keyframe={fids[skf.keyframes[k]]}")
@@ -208,17 +198,18 @@ def cmd_eval(args) -> int:
     cfg = _build_config(args)
     if cfg.gt_radius is None:
         raise InvalidParams("gt_radius is required (flag --gt-radius or config key gt_radius)")
-    model = _load_net(args, cfg)
-    pmap = placemap.load(args.map)
-    if not os.path.exists(os.path.join(args.query, "poses.csv")):
-        raise InvalidParams("query poses.csv is required for evaluation")
-    qids, qposes, qdescs, _ = _describe_dir(args.query, cfg, model)
     try:
         n_list = [int(v) for v in args.n.split(",") if v.strip()]
     except ValueError:
         raise InvalidParams(f"bad N list '{args.n}'") from None
     if not n_list:
         raise InvalidParams("empty N list")
+    metrics.check_n(min(n_list))
+    model = _load_net(args, cfg)
+    pmap = placemap.load(args.map)
+    if not os.path.exists(os.path.join(args.query, "poses.csv")):
+        raise InvalidParams("query poses.csv is required for evaluation")
+    qids, qposes, qdescs, _ = _describe_dir(args.query, cfg, model)
     qd = np.stack(qdescs)
     qp = np.array([[p.x, p.y, p.z] for p in qposes], dtype=np.float64)
     rows = []

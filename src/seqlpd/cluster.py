@@ -3,8 +3,8 @@
 The place map is partitioned with K-means++ (Lloyd refinement, empty-cluster
 repair), K is chosen by the Elbow method on the distortion curve, then grown
 until every member sits within L2 distance D of its center.  Each cluster
-exports a super keyframe (the member nearest the center, the "typical place")
-and, on first lookup, a KD-tree over member descriptors for in-cluster search.
+exports a super keyframe (the member nearest the center, the "typical place");
+loop detection routes a query through these keyframes alone.
 
 All cluster math runs in float64; ties break toward the lower index at every
 step so equal seeds give bitwise-equal results.
@@ -266,16 +266,16 @@ def _best_of_restarts(x: np.ndarray, k: int, params: ClusterParams,
 def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     """Choose K by the Elbow method, then grow K until the D-constraint holds.
 
-    Distortion J(K) is computed for K = 1..K_max (best of 3 seeded restarts
-    each); the elbow is the K in [2, K_max-1] maximizing the discrete second
-    difference J(K-1) - 2 J(K) + J(K+1), falling back to K=1 when that range
-    is empty.  While any member's distance to its center is >= D and K < K_max,
-    K is incremented.  Never raises on an unsatisfiable constraint; the result
-    carries ``constraint_ok`` instead.
+    Distortion J(K) is computed for K = 1..k_max = min(K_max, n), n >= 1 rows
+    (best of 3 seeded restarts each); the elbow is the K in [2, k_max-1]
+    maximizing the discrete second difference J(K-1) - 2 J(K) + J(K+1),
+    falling back to K=1 when that range is empty.  While any member's distance
+    to its center is >= D and K < k_max, K is incremented.  Never raises on an
+    unsatisfiable constraint; the result carries ``constraint_ok`` instead.
     """
     x = np.ascontiguousarray(descriptors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise InvalidParams("need at least 2 descriptors")
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise InvalidParams("need at least 1 descriptor")
     n = x.shape[0]
     k_max = min(params.K_max, n)
 
@@ -308,14 +308,12 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
 
 
 class SuperKeyframes:
-    """Per-cluster typical places and member KD-trees for coarse-to-fine matching.
+    """Per-cluster typical places for coarse-to-fine matching.
 
-    ``descriptors`` is kept as given, usually the map's read-only float32
-    view, so no copy of the map is made; ``keyframe_descriptors`` holds the
-    K keyframe rows as float64.  ``n_hist`` is the length of the clustered
-    history, one past the highest member index.  ``trees[k]`` stays None
-    until :func:`nearest_in_cluster` first searches cluster k; loop detection
-    routes through the keyframes alone.
+    ``keyframe_descriptors`` holds the K keyframe rows of ``descriptors`` as
+    float64; no view of the map is kept, so a grown map can free its old buffer.
+    ``n_hist`` is one past the highest member index.  ``trees`` stays K Nones
+    (no per-cluster tree is built) only because the benchmark reads it.
     """
 
     def __init__(self, centers: np.ndarray, keyframes: np.ndarray, members: list,
@@ -323,8 +321,7 @@ class SuperKeyframes:
         self.centers = np.ascontiguousarray(centers, dtype=np.float64)
         self.keyframes = np.ascontiguousarray(keyframes, dtype=np.int64)
         self.members = [np.ascontiguousarray(m, dtype=np.int64) for m in members]
-        self._desc = np.asarray(descriptors)
-        self.keyframe_descriptors = self._desc[self.keyframes].astype(np.float64)
+        self.keyframe_descriptors = np.asarray(descriptors)[self.keyframes].astype(np.float64)
         self.n_hist = 1 + max((int(m.max()) for m in self.members if m.size), default=-1)
         self.trees = [None] * len(self.members)
 
@@ -355,29 +352,13 @@ def super_keyframes(pmap: PlaceMap, clustering: Clustering) -> SuperKeyframes:
     return SuperKeyframes(clustering.centers, keyframes, members, desc)
 
 
-def nearest_in_cluster(skf: SuperKeyframes, cluster_id: int, query_descriptor,
-                       m: int) -> np.ndarray:
-    """Entry indices of the m nearest members of one cluster (L2, ties by
-    lower entry index); saturates at the cluster size."""
-    if not 0 <= cluster_id < skf.K:
-        raise InvalidCluster(f"cluster id {cluster_id} outside [0, {skf.K})")
-    if m < 1:
-        raise InvalidParams("m must be >= 1")
-    q = np.asarray(query_descriptor, dtype=np.float64).reshape(1, -1)
-    tree = skf.trees[cluster_id]
-    if tree is None:  # racing first queries may each build one; any copy answers the same
-        tree = skf.trees[cluster_id] = kernels.kdtree_build(skf._desc[skf.members[cluster_id]])
-    local = kernels.kdtree_knn(tree, q, m)[0]
-    return skf.members[cluster_id][local]
-
-
 def save_clusters(skf: SuperKeyframes, D: float, path) -> None:
     """Write the LPDC container.
 
     Layout (little-endian): magic "LPDC", u32 version=1, u32 K, f32 D; per
     cluster u32 keyframe entry index, u32 member count, member entry indices
     as u32; then centers as K x dim f32, dim being the map's descriptor
-    dimension.  KD-trees are not stored.  D must pass the ClusterParams rule.
+    dimension.  D must pass the ClusterParams rule.
     """
     _check_ceiling(D)
     with fileio.writing(path) as fh:
@@ -434,6 +415,5 @@ def load_clusters(path, pmap: PlaceMap):
         raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
     centers = r.array("<f4", kk * dim).reshape(kk, dim)
     r.end()
-    skf = SuperKeyframes(centers.astype(np.float64), keyframes, members,
-                         pmap.descriptor_matrix())
+    skf = SuperKeyframes(centers, keyframes, members, pmap.descriptor_matrix())
     return skf, float(d_thresh)

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from . import cluster, fileio, net, seqmatch
+from . import cloud, cluster, features, fileio, metrics, net, seqmatch
 from .errors import FormatError, InvalidParams
 
 _MATCH = seqmatch.MatchParams
@@ -20,9 +20,9 @@ _MATCH = seqmatch.MatchParams
 
 @dataclass(frozen=True)
 class Config:
-    k_local: int = 20
+    k_local: int = features.DEFAULT_K
     k_graph: int = net.NetConfig.k_graph
-    n_sub: int = 4096
+    n_sub: int = cloud.DEFAULT_SUBMAP_SIZE
     W: int = _MATCH.W
     v_min: float = _MATCH.v_min
     v_max: float = _MATCH.v_max
@@ -63,8 +63,8 @@ class Config:
             raise InvalidParams("n_sub must be >= 1")
         if self.gt_radius is not None and not 0.0 < self.gt_radius < math.inf:
             raise InvalidParams("gt_radius must be finite and > 0")
-        if not 1 <= self.min_successes <= 5:
-            raise InvalidParams("min_successes must be in [1, 5]")
+        if not 1 <= self.min_successes <= metrics.RUN_LEN:
+            raise InvalidParams(f"min_successes must be in [1, {metrics.RUN_LEN}]")
         if self.seed < 0:
             raise InvalidParams("seed must be >= 0")
         return self

@@ -43,13 +43,18 @@ def ground_truth(query_poses: np.ndarray, db_poses: np.ndarray,
     return [np.flatnonzero(row <= gt_radius) for row in dists]
 
 
+def check_n(n: int) -> None:
+    """The rule for a retrieval N: at least 1, else InvalidParams."""
+    if n < 1:
+        raise InvalidParams("N must be >= 1")
+
+
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
                 n: int) -> RecallResult:
     """Fraction of evaluated queries whose top-N retrieval hits a true positive."""
     if len(db) == 0:
         raise EmptyDatabase("empty place map")
-    if n < 1:
-        raise InvalidParams("N must be >= 1")
+    check_n(n)
     q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
     db.check_dim(q)
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio, kernels
-from ._accel import run_jobs, thread_count
 from .cloud import Submap
 from .errors import EmptyInput, FormatError, InvalidParams, NormError, ShapeError
 from .features import FEATURE_DIM
@@ -123,9 +122,6 @@ class WeightSet:
             return self._tensors[name]
         except KeyError:
             raise ShapeError(f"missing tensor '{name}'") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def names(self):
         return list(self._tensors)
@@ -361,19 +357,6 @@ def baseline_descriptor(submap: Submap, lf: np.ndarray) -> np.ndarray:
     vec = np.sqrt(np.concatenate(parts))
     vec /= np.linalg.norm(vec)
     return vec.astype(np.float32)
-
-
-def describe_many(items, ws: WeightSet = None, config: NetConfig = NetConfig()) -> list:
-    """Descriptors for (submap, features) pairs; pool size honors SEQLPD_THREADS.
-
-    Work splits across whole submaps only, so results are identical for any
-    worker count.  ``ws=None`` selects the weight-free baseline.
-    """
-    if ws is None:
-        fn = lambda pair: baseline_descriptor(pair[0], pair[1])
-    else:
-        fn = lambda pair: describe(pair[0], pair[1], ws, config)
-    return run_jobs(fn, items, thread_count())
 
 
 def lazy_quadruplet_loss(d_anchor, positives, negatives, neg_star,

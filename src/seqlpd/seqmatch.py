@@ -142,6 +142,8 @@ def trajectory_score(m: np.ndarray, ref_end: int, v: float, w: int) -> float:
         raise WindowTooLarge(f"window {w} exceeds {rows} rows")
     if w < 1:
         raise InvalidParams("window must be >= 1")
+    if not math.isfinite(v):
+        raise InvalidParams(f"velocity must be finite, got {v}")
     total = 0.0
     for t in range(w):
         col = ref_end - int(math.copysign(math.floor(abs(v) * t + 0.5), v))

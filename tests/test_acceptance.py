@@ -15,7 +15,7 @@ from oracles import (orthogonal_to, quadruplet_oracle, random_unit,
                      retrieval_oracle, trajectory_score_oracle)
 from seqlpd import cli, cluster, config, kernels, metrics, net, placemap
 from seqlpd import seqmatch, synth
-from seqlpd.cloud import Pose, SpatialIndex, Submap
+from seqlpd.cloud import Pose, SpatialIndex, Submap, load_kitti_bin, normalize_submap
 from seqlpd.errors import FormatError
 from seqlpd.features import local_features
 from seqlpd.placemap import PlaceEntry, PlaceMap
@@ -109,8 +109,18 @@ ACC_NET = net.NetConfig(k_graph=6, vlad_clusters=8, point_mlp=(16, 16),
                         tnet_fc=(12, 8), descriptor_dim=32)
 
 
-def test_criterion_03_descriptor_invariants(monkeypatch):
+def test_criterion_03_descriptor_invariants(monkeypatch, tmp_path):
     rng = np.random.default_rng(103)
+    # frames of 60-160 points for the batch path, which resamples each to n_sub
+    frame_rng = np.random.default_rng(1030)
+    cfg = config.Config(n_sub=128, k_local=8, k_graph=ACC_NET.k_graph)
+    frames = []
+    for i in range(20):
+        path = tmp_path / f"{i:06d}.bin"
+        frame_rng.uniform(-1.0, 1.0, size=(int(frame_rng.integers(60, 160)), 4)) \
+            .astype("<f4").tofile(path)
+        sub = normalize_submap(load_kitti_bin(path, i), cfg.n_sub, seed=cfg.seed + i)
+        frames.append((sub, local_features(sub, cfg.k_local)))
     worst_perm = worst_norm = 0.0
     for net_i in range(50):
         ws = net.random_weights(ACC_NET, seed=900 + net_i)
@@ -127,16 +137,16 @@ def test_criterion_03_descriptor_invariants(monkeypatch):
             shuffled = Submap(points=sub.points[perm], scale=1.0)
             d_perm = net.describe(shuffled, lf[perm], ws, ACC_NET).astype(np.float64)
             worst_perm = max(worst_perm, float(np.abs(d64 - d_perm).max()))
-        monkeypatch.setenv("SEQLPD_THREADS", "1")
-        serial = net.describe_many(items, ws, ACC_NET)
-        monkeypatch.setenv("SEQLPD_THREADS", "4")
-        pooled = net.describe_many(items, ws, ACC_NET)
-        for a, b in zip(serial, pooled):
-            assert a.tobytes() == b.tobytes()
+        want = [net.describe(sub, lf, ws, ACC_NET).tobytes() for sub, lf in frames]
+        for threads in ("1", "4"):
+            monkeypatch.setenv("SEQLPD_THREADS", threads)
+            _, _, got, _ = cli._describe_dir(tmp_path, cfg, (ws, ACC_NET))
+            assert [d.tobytes() for d in got] == want
     assert worst_perm <= 1e-6
     assert worst_norm <= 1e-5
     _report(3, f"50 nets x 20 submaps: perm {worst_perm:.2e} <= 1e-6, "
-               f"norm {worst_norm:.2e} <= 1e-5, threads 1/4 bit-stable")
+               f"norm {worst_norm:.2e} <= 1e-5; 20 frames described at threads 1 and 4 "
+               "bit-equal to one describe per frame")
 
 
 def test_criterion_04_loss_oracle():

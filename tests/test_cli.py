@@ -1,11 +1,14 @@
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from seqlpd import cli, net, placemap
+from seqlpd import cli, config, net, placemap
+from seqlpd.cloud import load_kitti_bin, normalize_submap
+from seqlpd.features import local_features
 
 DESCRIBE_FLAGS = ["--baseline", "--n-sub", "128", "--k-local", "8"]
 
@@ -87,6 +90,51 @@ def test_cluster_output_and_reproducibility(corpus, tmp_path, capsys):
         sizes.append(int(m.group(1)))
     assert sum(sizes) == 40
     assert (tmp_path / "again.lpdc").read_bytes() == (corpus / "map.lpdc").read_bytes()
+
+
+def test_cluster_of_a_one_frame_map(corpus, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "000007.bin").write_bytes((corpus / "c" / "map" / "000003.bin").read_bytes())
+    assert cli.main(["describe", str(frames), "-o", str(tmp_path / "one.lpdm")]
+                    + DESCRIBE_FLAGS) == 0
+    capsys.readouterr()
+    blobs = []
+    for name in ("a.lpdc", "b.lpdc"):
+        code, out, err = _run(["cluster", str(tmp_path / "one.lpdm"), "-o",
+                               str(tmp_path / name), "--D", "0.5"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["K=1 distortion=0.000000 constraint_ok=true",
+                                    "cluster=0 size=1 keyframe=7",
+                                    f"wrote {tmp_path / name}"]
+        blobs.append((tmp_path / name).read_bytes())
+    # header, the one cluster (keyframe 0, one member: 0), its center: the frame's row
+    row = placemap.load(tmp_path / "one.lpdm").descriptor_matrix()
+    assert blobs[0] == blobs[1] == (struct.pack("<4sIIfIII", b"LPDC", 1, 1, 0.5, 0, 1, 0)
+                                    + row.astype("<f4").tobytes())
+
+
+def test_describe_dir_matches_per_frame_at_any_thread_count(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    paths = [tmp_path / f"{i:06d}.bin" for i in range(6)]
+    for path in paths:
+        rng.uniform(-1.0, 1.0, size=(40, 4)).astype("<f4").tofile(path)
+    cfg = config.Config(n_sub=48, k_local=6, k_graph=4, seed=5)
+    small = net.NetConfig(k_graph=4, vlad_clusters=6, point_mlp=(12, 16),
+                          edge_mlp=(16, 24), post_mlp=(32,), tnet_mlp=(8, 12, 16),
+                          tnet_fc=(12, 8), descriptor_dim=40)
+    for model in (None, (net.random_weights(small, seed=11), small)):
+        want = []
+        for i, path in enumerate(paths):
+            sub = normalize_submap(load_kitti_bin(path, i), cfg.n_sub, seed=cfg.seed + i)
+            lf = local_features(sub, cfg.k_local)
+            want.append(net.baseline_descriptor(sub, lf) if model is None
+                        else net.describe(sub, lf, *model))
+        for threads in ("1", "4"):
+            monkeypatch.setenv("SEQLPD_THREADS", threads)
+            ids, _, got, _ = cli._describe_dir(tmp_path, cfg, model)
+            assert ids == list(range(6))
+            assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
 def test_match_end_to_end(corpus, capsys):
@@ -399,6 +447,21 @@ def test_match_rejects_bad_grid_before_describing(corpus, capsys, monkeypatch, b
     monkeypatch.setattr(cli, "_describe_dir", spy)
     _one_error(["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
                 str(corpus / "c" / "query")] + DESCRIBE_FLAGS + bad, capsys, "InvalidParams")
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["abc", ",", "0"])
+def test_eval_rejects_bad_n_before_describing(corpus, capsys, monkeypatch, bad):
+    calls = []
+    describe_dir = cli._describe_dir
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return describe_dir(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_describe_dir", spy)
+    _one_error(["eval", str(corpus / "map.lpdm"), str(corpus / "c" / "query")]
+               + DESCRIBE_FLAGS + ["--gt-radius", "1.0", "--n", bad], capsys, "InvalidParams")
     assert calls == []
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlpd import _accel, cluster, kernels, placemap
+from seqlpd import _accel, cluster, kernels, placemap, seqmatch
 from seqlpd.cloud import Pose
-from seqlpd.errors import (FormatError, InvalidCluster, InvalidK, InvalidParams)
+from seqlpd.errors import FormatError, InvalidK, InvalidParams
 
-from oracles import (elbow_oracle, kmeans_assign_oracle, kmeans_oracle, knn_oracle,
-                     random_unit, two_partition_oracle)
+from oracles import (elbow_oracle, kmeans_assign_oracle, kmeans_oracle, random_unit,
+                     two_partition_oracle)
 
 
 def _blobs(rng, n_per=30, dim=256, sep=1.0, sigma=0.01, k=3):
@@ -232,7 +232,12 @@ def test_elbow_validates_params():
     with pytest.raises(InvalidParams):
         cluster.ClusterParams(D=1.0, K_max=0)
     with pytest.raises(InvalidParams):
-        cluster.elbow_select(np.zeros((1, 4)), cluster.ClusterParams(D=1.0))
+        cluster.elbow_select(np.zeros((0, 4)), cluster.ClusterParams(D=1.0))
+    one = cluster.elbow_select(np.full((1, 4), 0.5, dtype=np.float32),
+                               cluster.ClusterParams(D=1.0))
+    assert (one.K, one.clustering.distortion, one.constraint_ok) == (1, 0.0, True)
+    np.testing.assert_array_equal(one.clustering.centers, np.full((1, 4), 0.5))
+    np.testing.assert_array_equal(one.clustering.assignment, [0])
     # the LPDC file stores D as float32
     for D in (1e39, float("inf"), float("nan")):
         with pytest.raises(InvalidParams, match="D must be in"):
@@ -440,67 +445,6 @@ def test_super_keyframes_k_equals_n():
     np.testing.assert_array_equal(np.sort(skf.keyframes), np.arange(10))
 
 
-def test_nearest_in_cluster_matches_brute_force():
-    rng = np.random.default_rng(9)
-    descs = random_unit(rng, 100, 256)
-    pm = _map_from(descs)
-    c = cluster.kmeanspp(descs.astype(np.float64), K=3, seed=1)
-    skf = cluster.super_keyframes(pm, c)
-    x = descs.astype(np.float64)
-    for k in range(3):
-        q = rng.normal(size=256)
-        got = cluster.nearest_in_cluster(skf, k, q, 5)
-        members = skf.members[k]
-        want = members[knn_oracle(x[members], q[None, :], 5)[0]]
-        np.testing.assert_array_equal(got, want)
-
-
-def test_nearest_in_cluster_builds_one_tree_lazily():
-    rng = np.random.default_rng(14)
-    descs = random_unit(rng, 60, 256)
-    descs[30:40] = descs[7]  # a tied group inside one cluster
-    pm = _map_from(descs)
-    c = cluster.kmeanspp(descs.astype(np.float64), K=3, seed=0)
-    skf = cluster.super_keyframes(pm, c)
-    assert skf.trees == [None, None, None]
-    k = int(c.assignment[7])
-    x = descs.astype(np.float64)
-    members = skf.members[k]
-    for q in (x[7], rng.normal(size=256)):
-        got = cluster.nearest_in_cluster(skf, k, q, 12)
-        np.testing.assert_array_equal(got, members[knn_oracle(x[members], q[None, :], 12)[0]])
-    tree = skf.trees[k]
-    assert tree is not None and tree.data.shape == (members.shape[0], 256)
-    assert sum(t is not None for t in skf.trees) == 1
-    cluster.nearest_in_cluster(skf, k, x[0], 1)
-    assert skf.trees[k] is tree  # built once, then reused
-
-
-def test_nearest_in_cluster_member_query_and_saturation():
-    rng = np.random.default_rng(10)
-    descs = random_unit(rng, 20, 256)
-    pm = _map_from(descs)
-    c = cluster.kmeanspp(descs.astype(np.float64), K=2, seed=0)
-    skf = cluster.super_keyframes(pm, c)
-    member = int(skf.members[0][0])
-    got = cluster.nearest_in_cluster(skf, 0, descs[member], 1)
-    assert got[0] == member
-    whole = cluster.nearest_in_cluster(skf, 0, descs[member], 10_000)
-    assert whole.shape[0] == skf.cluster_size(0)
-
-
-def test_nearest_in_cluster_errors():
-    rng = np.random.default_rng(11)
-    descs = random_unit(rng, 10, 256)
-    pm = _map_from(descs)
-    c = cluster.kmeanspp(descs.astype(np.float64), K=2, seed=0)
-    skf = cluster.super_keyframes(pm, c)
-    with pytest.raises(InvalidCluster):
-        cluster.nearest_in_cluster(skf, 2, descs[0], 1)
-    with pytest.raises(InvalidParams):
-        cluster.nearest_in_cluster(skf, 0, descs[0], 0)
-
-
 def test_lpdc_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     descs = random_unit(rng, 50, 256)
@@ -523,11 +467,31 @@ def test_lpdc_round_trip(tmp_path):
         with pytest.raises(InvalidParams, match="D must be in"):
             cluster.save_clusters(skf, D, tmp_path / "bad.lpdc")
     assert not (tmp_path / "bad.lpdc").exists()
-    # rebuilt trees answer queries identically
-    q = rng.normal(size=256)
-    for k in range(skf.K):
-        np.testing.assert_array_equal(cluster.nearest_in_cluster(back, k, q, 3),
-                                      cluster.nearest_in_cluster(skf, k, q, 3))
+    # the loaded clusters route queries as the saved ones do
+    np.testing.assert_array_equal(back.keyframe_descriptors, skf.keyframe_descriptors)
+    assert back.n_hist == skf.n_hist == 50
+    for q in np.concatenate((rng.normal(size=(20, 256)), descs[:5])):
+        assert seqmatch.coarse_match(q, back) == seqmatch.coarse_match(q, skf)
+
+
+def test_super_keyframes_hold_no_view_of_the_map(tmp_path):
+    # a clustering that kept the map's descriptor column would pin the old
+    # buffer after the map grows
+    descs = random_unit(np.random.default_rng(15), 30, 16)
+    pm = _map_from(descs)
+    c = cluster.kmeanspp(descs.astype(np.float64), K=3, seed=0)
+    skf = cluster.super_keyframes(pm, c)
+    cluster.save_clusters(skf, 0.5, tmp_path / "c.lpdc")
+    back, _ = cluster.load_clusters(tmp_path / "c.lpdc", pm)
+    desc = pm.descriptor_matrix()
+    for s in (skf, back):
+        arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
+        arrays += [a for v in vars(s).values() if isinstance(v, list) for a in v
+                   if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 3 + s.K  # centers, keyframes, keyframe rows, members
+        for a in arrays:
+            assert not np.shares_memory(a, desc)
+        assert s.trees == [None] * s.K
 
 
 def test_lpdc_corrupt_fixtures(tmp_path):

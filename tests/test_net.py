@@ -244,20 +244,6 @@ def test_describe_default_config_dimensions():
     assert np.linalg.norm(d.astype(np.float64)) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_describe_many_matches_scalar_and_threads(monkeypatch):
-    rng = np.random.default_rng(11)
-    ws = net.random_weights(SMALL, seed=11)
-    items = [(_submap(rng, 40), _features(rng, 40)) for _ in range(6)]
-    monkeypatch.setenv("SEQLPD_THREADS", "1")
-    one = net.describe_many(items, ws, SMALL)
-    monkeypatch.setenv("SEQLPD_THREADS", "4")
-    four = net.describe_many(items, ws, SMALL)
-    scalar = [net.describe(s, f, ws, SMALL) for s, f in items]
-    for a, b, c in zip(one, four, scalar):
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
-
 def test_baseline_descriptor_properties():
     rng = np.random.default_rng(12)
     sub = _submap(rng, 500)

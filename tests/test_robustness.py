@@ -201,8 +201,10 @@ def test_one_file_boundary_and_one_pool():
                 assert node.name != "take", f"take() reader in {name}"
 
 
-# Config keys whose bounds and defaults the stage objects own
-_STAGE_KEYS = {"W", "v_min", "v_max", "v_step", "accept_ratio", "mirror", "k_graph", "K_max"}
+# Config keys whose defaults another module owns: the stage objects (which also
+# own their bounds), features.DEFAULT_K and cloud.DEFAULT_SUBMAP_SIZE
+_STAGE_KEYS = {"W", "v_min", "v_max", "v_step", "accept_ratio", "mirror", "k_graph", "K_max",
+               "k_local", "n_sub"}
 
 
 def test_stage_keys_have_one_owner():
@@ -223,6 +225,20 @@ def test_stage_keys_have_one_owner():
                 if isinstance(part, ast.Attribute):
                     assert part.attr not in bounded, \
                         f"Config.validate compares {part.attr}"
+
+
+def test_one_batch_describer():
+    # the pool runs the frames of one directory and the elbow sweep's K jobs;
+    # a second batch path over the same frames would be a second describer
+    callers = []
+    for name, tree in _sources():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and "run_jobs" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.append((name, func.name))
+    assert sorted(callers) == [("cli.py", "_describe_dir"), ("cluster.py", "elbow_select")]
 
 
 def test_only_placemap_knows_the_map_storage():

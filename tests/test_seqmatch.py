@@ -93,6 +93,14 @@ def test_trajectory_score_bounds_and_window():
         seqmatch.trajectory_score(m, 7, 1.0, 1)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_trajectory_score_rejects_a_non_finite_velocity(v):
+    m = np.ones((3, 5))
+    for w in (1, 3):  # even the first cell would round v * 0, which is nan
+        with pytest.raises(InvalidParams, match="velocity"):
+            seqmatch.trajectory_score(m, 4, v, w)
+
+
 def test_trajectory_score_matches_oracle_randomized():
     rng = np.random.default_rng(3)
     for _ in range(100):
