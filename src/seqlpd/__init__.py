@@ -24,7 +24,7 @@ from .errors import (DimensionError, EmptyDatabase, EmptyIndex, EmptyInput,
                      OutOfBounds, RunLengthError, SeqLPDError, ShapeError,
                      WindowTooLarge)
 from .features import local_features
-from .metrics import (RecallResult, recall_at_n, recall_at_one_percent,
+from .metrics import (RecallResult, recall_at_n, recall_at_one_percent, recall_curve,
                       seq_protocol)
 from .net import (NetConfig, WeightSet, baseline_descriptor, describe,
                   feature_transform, graph_aggregate, input_transform,

@@ -212,11 +212,10 @@ def cmd_eval(args) -> int:
     qids, qposes, qdescs, _ = _describe_dir(args.query, cfg, model)
     qd = np.stack(qdescs)
     qp = np.array([[p.x, p.y, p.z] for p in qposes], dtype=np.float64)
-    rows = []
-    for n in n_list:
-        r = metrics.recall_at_n(qd, qp, pmap, cfg.gt_radius, n)
-        rows.append((f"recall_at_{n}", r.percentage, n, cfg.gt_radius, len(pmap)))
-    r1p = metrics.recall_at_one_percent(qd, qp, pmap, cfg.gt_radius)
+    # every recall row, Recall@1% last, from one ranking
+    *recalls, r1p = metrics.recall_curve(qd, qp, pmap, cfg.gt_radius,
+                                         n_list + [metrics.one_percent_n(len(pmap))])
+    rows = [(f"recall_at_{r.N}", r.percentage, r.N, cfg.gt_radius, len(pmap)) for r in recalls]
     rows.append(("recall_at_1pct", r1p.percentage, r1p.N, cfg.gt_radius, len(pmap)))
     if len(qdescs) >= metrics.RUN_LEN:
         runs = [(qd[i:i + metrics.RUN_LEN], qp[i:i + metrics.RUN_LEN])

@@ -32,10 +32,38 @@ same clustering, bit for bit, as one that recomputes everything:
   since its center was last their mean (seeded and repaired centers are not
   means); an unchanged cluster would sum the same rows in the same order.
   A row's exact distance is recomputed only when its cluster or its
-  center changed.  The assignment itself still comes from the full
-  ``x @ centers.T`` product: a product over only the moved centers'
-  columns rounds differently (a single column goes through GEMV), and its
-  argmin could break a tie another way.
+  center changed.  The assignment is the argmin of the full
+  ``x @ centers.T`` product (:func:`kernels.center_approx`), ties to the
+  lower id, but that product is skipped for rows that bounds prove settled
+  (Hamerly, "Making k-means even faster", SDM 2010):
+
+  - Bound.  Each row keeps ``lo``, a lower bound on its distance to every
+    center but its own.  It starts from the first assignment's
+    second-smallest approximate value less the slack, and each step lowers
+    it by the largest shift of any other center.  The exact distance ``d2``
+    to the row's own moved center is computed first.  A row with
+    ``d2 + 2 slack < lo^2`` keeps its argmin: its own center's approximate
+    value lies below ``d2 + slack`` and every other one above
+    ``lo^2 - slack``.
+  - Gap rule.  The other rows get a product over just those rows, gathered
+    one row block at a time.  It may round differently from the full
+    product, by up to ``2 slack`` a cell, so its argmin counts only where a
+    row's two smallest values lie more than ``4 slack`` apart.  A row inside
+    that margin sends the step to the full product.
+  - More-than-half rule.  A step where more than half the rows need a check
+    runs the full product for all of them.
+  - Size rule.  Bounds are kept only on maps of at least ``_POOL_MIN_SIZE``
+    elements.  Below that line a restart is Python-bound and the
+    bookkeeping costs more than the products it skips (kept at every size,
+    bounds made a 60 x 256 elbow 13-18% slower), so every step there runs
+    the full product.
+
+  The slack, ``1e-9 (1 + 2 max|x|^2)``, is over 10^4 times the rounding of
+  a 256-term product.  It also covers the bound arithmetic: the shifts'
+  square roots, one subtraction a step and ``lo^2`` lose at most about
+  ``1e-13 max|x|^2`` of ``lo^2`` over a bound's life (the shifts it sheds
+  add up to at most two row norms before a check resets it) plus
+  ``1e-15 max|x|^2`` a step, which stays inside the slack for over 10^6 steps.
 """
 
 import struct
@@ -147,17 +175,12 @@ def _closer_rows(x: np.ndarray, sqx: np.ndarray, j: int, d2: np.ndarray, slack: 
 def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
     """K-means++ seeding: first center uniform, the rest weighted by squared distance."""
     n = x.shape[0]
-    step = kernels.row_block(x.shape[1])
     slack = kernels.approx_slack(sqx)
     chosen = [int(rng.integers(n))]
-    d2 = np.empty(n)
-    # row blocks keep the temporaries in cache; each row's value is unchanged
-    for s in range(0, n, step):
-        d2[s:s + step] = ((x[s:s + step] - x[chosen[0]]) ** 2).sum(axis=1)
+    d2 = kernels.sum_d2(x, x[chosen[0]])
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
     buf = np.empty(n)
-    every = np.arange(n)
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -166,13 +189,10 @@ def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
             j = int(np.flatnonzero(~taken)[0])
         chosen.append(j)
         taken[j] = True
-        if total > n * slack:
-            rows = _closer_rows(x, sqx, j, d2, slack, buf)
-        else:  # d2 averages within the slack: the filter would keep about every row
-            rows = every
-        for s in range(0, rows.shape[0], step):
-            r = rows[s:s + step]
-            d2[r] = np.minimum(d2[r], ((x[r] - x[j]) ** 2).sum(axis=1))
+        # while d2 averages within the slack the filter would keep about every row
+        rows = _closer_rows(x, sqx, j, d2, slack, buf) if total > n * slack else None
+        sel = slice(None) if rows is None else rows
+        d2[sel] = np.minimum(d2[sel], kernels.sum_d2(x, x[j], rows=rows))
     return x[np.array(chosen, dtype=np.int64)].copy()
 
 
@@ -189,6 +209,59 @@ def _row_mean(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         np.take(x, r, axis=0, out=buf[1:1 + r.shape[0]], mode="clip")
         buf[0] = np.add.reduce(buf[int(s == 0):1 + r.shape[0]], axis=0)
     return buf[0] / rows.shape[0]
+
+
+def _settled_argmin(x: np.ndarray, sqx: np.ndarray, rows: np.ndarray, centers: np.ndarray,
+                    slack: float):
+    """The full product's argmin for ``rows``, from a product over those rows alone,
+    and each row's second-smallest value; None when some row's two smallest
+    values lie within ``4 * slack``, since the full product could order them otherwise.
+
+    Each product's value lies within ``slack`` of the exact distance, so the
+    two products differ by at most ``2 * slack`` at any cell.  Rows are
+    gathered one row block at a time.
+    """
+    best, runner_up = np.empty(rows.shape[0], dtype=np.int64), np.empty(rows.shape[0])
+    step = kernels.row_block(x.shape[1])
+    buf = np.empty((min(step, rows.shape[0]), x.shape[1]))
+    for s in range(0, rows.shape[0], step):
+        r = rows[s:s + step]
+        xb = np.take(x, r, axis=0, out=buf[:r.shape[0]], mode="clip")
+        b, lowest, second = kernels.two_smallest(kernels.center_approx(xb, centers, sqx[r]))
+        if not (second - lowest > 4.0 * slack).all():
+            return None
+        best[s:s + step], runner_up[s:s + step] = b, second
+    return best, runner_up
+
+
+def _bounded_assign(x: np.ndarray, sqx: np.ndarray, centers: np.ndarray, shift: np.ndarray,
+                    assign: np.ndarray, d2: np.ndarray, lo: np.ndarray,
+                    slack: float) -> np.ndarray:
+    """``kernels.nearest_center(x, centers, sqx)``, computing the product only
+    for the rows the bounds leave open, and updating ``lo`` in place.
+
+    ``d2`` holds each row's exact squared distance to its own center
+    ``centers[assign]``, ``lo`` a lower bound on its distance to every other
+    center before the centers moved by ``shift``.
+    """
+    # a row's other centers moved by at most the largest shift but its own
+    top = int(np.argmax(shift))
+    runner = float(np.partition(shift, -2)[-2])
+    lo -= np.where(assign == top, runner, shift[top])
+    np.maximum(lo, 0.0, out=lo)
+    rows = np.flatnonzero(d2 + 2.0 * slack >= lo * lo)
+    settled = None
+    if 2 * rows.shape[0] <= x.shape[0]:
+        settled = _settled_argmin(x, sqx, rows, centers, slack)
+    if settled is None:
+        rows = slice(None)
+        best, _, second = kernels.two_smallest(kernels.center_approx(x, centers, sqx))
+    else:
+        best, second = settled
+    new_assign = assign.copy()
+    new_assign[rows] = best
+    lo[rows] = np.sqrt(np.maximum(second - slack, 0.0))
+    return new_assign
 
 
 def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
@@ -212,7 +285,14 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
     if not np.isfinite(sqx).all():
         raise InvalidParams("descriptor rows must be finite, with finite squared norms")
     centers = _seed_centers(x, K, rng, sqx)
-    assign, d2 = kernels.kmeans_assign(x, centers, sqx)
+    # lo[i]: a lower bound on row i's distance to every center but its own
+    lo = None
+    if K > 1 and x.size >= _POOL_MIN_SIZE:
+        slack = kernels.approx_slack(sqx)
+        assign, d2, second = kernels.kmeans_assign(x, centers, sqx, second=True)
+        lo = np.sqrt(np.maximum(second - slack, 0.0))
+    else:
+        assign, d2 = kernels.kmeans_assign(x, centers, sqx)
     history = [float(d2.sum())]
     # is_mean[k]: center k is the mean of cluster k's current members
     is_mean = np.zeros(K, dtype=bool)
@@ -235,11 +315,20 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
                 j = int(np.argmax(pool))
                 new_centers[k] = x[j]
                 pool[j] = -1.0
-        new_assign = kernels.nearest_center(x, new_centers, sqx)
         moved = (new_centers != centers).any(axis=1)
+        if lo is None:
+            new_assign = kernels.nearest_center(x, new_centers, sqx)
+            redo = moved[new_assign]
+        else:
+            # the distance to the row's own moved center bounds its nearest from above
+            own = np.flatnonzero(moved[assign])
+            d2[own] = kernels.center_d2(x, new_centers, assign, own)
+            shift = np.sqrt(kernels.center_d2(new_centers, centers, np.arange(K)))
+            new_assign = _bounded_assign(x, sqx, new_centers, shift, assign, d2, lo, slack)
+            redo = False
         changed = new_assign != assign
         # a row keeps its exact distance unless its center changed or moved
-        rows = np.flatnonzero(changed | moved[new_assign])
+        rows = np.flatnonzero(changed | redo)
         d2[rows] = kernels.center_d2(x, new_centers, new_assign, rows)
         # a cluster that gained or lost a row needs a new mean
         is_mean[assign[changed]] = False
@@ -342,12 +431,13 @@ def super_keyframes(pmap: PlaceMap, clustering: Clustering) -> SuperKeyframes:
                          f"map has {desc.shape[0]}")
     members = []
     keyframes = np.empty(clustering.K, dtype=np.int64)
+    d2 = kernels.sum_d2(desc, np.asarray(clustering.centers, dtype=np.float64),
+                        clustering.assignment)
     for k in range(clustering.K):
         m = np.flatnonzero(clustering.assignment == k).astype(np.int64)
         if m.shape[0] == 0:
             raise InvalidCluster(f"cluster {k} is empty")
-        d2 = ((desc[m] - clustering.centers[k]) ** 2).sum(axis=1)
-        keyframes[k] = m[int(np.argmin(d2))]
+        keyframes[k] = m[int(np.argmin(d2[m]))]
         members.append(m)
     return SuperKeyframes(clustering.centers, keyframes, members, desc)
 

@@ -34,6 +34,9 @@ _KNN_TIE_RTOL = 1e-9
 # elements per row block of the exact distance passes (1 MB of float64):
 # small enough that each block's temporaries stay in cache
 _BLOCK_ELEMS = 1 << 17
+# approximate values per query block of map_knn (8 MB of float64), and as
+# many partition indices
+_QUERY_BLOCK_ELEMS = 1 << 20
 
 
 def row_block(d: int) -> int:
@@ -187,20 +190,32 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
 
     ``pts`` (usually a map's float32 view) is widened one row block at a time
     for the BLAS product; when k + 8 covers the map, every row is a candidate.
+    Candidates are proposed for one block of queries at a time, so the
+    approximate values and their partition indices never exceed
+    ``_QUERY_BLOCK_ELEMS`` each.
     """
     qs = np.ascontiguousarray(queries, dtype=np.float64)
-    n, kk = pts.shape[0], min(k, pts.shape[0])
+    (nq, d), n, kk = qs.shape, pts.shape[0], min(k, pts.shape[0])
     if kk + _KNN_SLACK >= n:
-        return _exact_knn(qs, pts, np.broadcast_to(np.arange(n), (qs.shape[0], n)), np.inf, kk)
+        return _exact_knn(qs, pts, np.broadcast_to(np.arange(n), (nq, n)), np.inf, kk)
     sqq = np.einsum("qd,qd->q", qs, qs)
-    approx, sqp = np.empty((qs.shape[0], n)), np.empty(n)
-    step = row_block(pts.shape[1])
-    for s in range(0, n, step):
-        blk = pts[s:s + step].astype(np.float64)
-        sqp[s:s + step] = np.einsum("nd,nd->n", blk, blk)
-        approx[:, s:s + step] = sqq[:, None] + sqp[None, s:s + step] - 2.0 * (qs @ blk.T)
-    cand, bound = _candidates(approx, kk + _KNN_SLACK, approx_slack(np.append(sqq, sqp)))
-    return _exact_knn(qs, pts, cand, bound, kk)
+    sqp = np.empty(n)
+    out = np.empty((nq, kk), dtype=np.int64)
+    step, qstep = row_block(d), max(1, _QUERY_BLOCK_ELEMS // n)
+    for a in range(0, nq, qstep):
+        q = qs[a:a + qstep]
+        approx = np.empty((q.shape[0], n))
+        for s in range(0, n, step):
+            blk = pts[s:s + step].astype(np.float64)
+            if a == 0:
+                sqp[s:s + step] = np.einsum("nd,nd->n", blk, blk)
+            approx[:, s:s + step] = (sqq[a:a + qstep, None] + sqp[None, s:s + step]
+                                     - 2.0 * (q @ blk.T))
+        if a == 0:
+            slack = approx_slack(np.append(sqq, sqp))
+        cand, bound = _candidates(approx, kk + _KNN_SLACK, slack)
+        out[a:a + qstep] = _exact_knn(q, pts, cand, bound, kk)
+    return out
 
 
 def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -226,49 +241,115 @@ def local_stats(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.stack([dz_max, z_var, lam1 + lam2, l2d], axis=1)
 
 
+def center_approx(x: np.ndarray, centers: np.ndarray, sqx: np.ndarray) -> np.ndarray:
+    """Approximate squared distance of every row to every center, ``sqx + |c|^2 - 2 x @ c``.
+
+    ``x`` and ``centers`` are float64 and C-contiguous, and ``sqx`` is
+    ``einsum("nd,nd->n", x, x)``.  When every center is a row of the map
+    ``x`` came from or a mean of such rows, each value lies within
+    ``approx_slack`` of the whole map's ``sqx`` of the exact distance.  A
+    product over a subset of the rows or columns may round differently.
+    """
+    sqc = np.einsum("kd,kd->k", centers, centers)
+    return sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
+
+
+def two_smallest(approx: np.ndarray):
+    """Per row of ``approx``: the argmin (ties to the lower column), its value, and the
+    second-smallest value (inf with one column).  Overwrites the argmin entries."""
+    best = np.argmin(approx, axis=1)
+    rows = np.arange(approx.shape[0])
+    lowest = approx[rows, best]
+    approx[rows, best] = np.inf
+    return best, lowest, approx.min(axis=1)
+
+
 def nearest_center(x: np.ndarray, centers: np.ndarray, sqx: np.ndarray) -> np.ndarray:
     """Nearest center per row by approximate squared distances, ties to the lower id.
 
-    ``x`` and ``centers`` are float64 and C-contiguous, and ``sqx`` is
-    ``einsum("nd,nd->n", x, x)``.  The distances come from one full
-    ``x @ centers.T`` product: a product over a subset of the columns may
-    round differently (a single column goes through GEMV), so its argmin
-    could break a tie another way.
+    The distances come from one full :func:`center_approx` product: a product
+    over a subset of the columns may round differently (a single column goes
+    through GEMV), so its argmin could break a tie another way.
     """
-    sqc = np.einsum("kd,kd->k", centers, centers)
-    d2 = sqx[:, None] + sqc[None, :] - 2.0 * (x @ centers.T)
-    return np.argmin(d2, axis=1)
+    return np.argmin(center_approx(x, centers, sqx), axis=1)
+
+
+def _blocked_d2(x, centers, assign, rows, reduce) -> np.ndarray:
+    """Squared distance of each row of ``x``, or of each of ``rows``, to
+    ``centers[assign[row]]``, or to the one point ``centers`` when ``assign`` is None.
+
+    Runs in row blocks through one block buffer: ``np.take`` gathers the
+    operands into it, ``np.subtract`` forms the difference in place (widening
+    float32 rows of ``x`` exactly), and ``reduce(block, out)`` sums each row.
+    When both operands are gathered they share the buffer, half a block each.
+    A row's value is that of the unblocked ``x[rows] - centers[assign[rows]]``.
+    ``x`` must be float64 when ``rows`` is given.
+    """
+    m = x.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(m)
+    both = rows is not None and assign is not None
+    step = max(1, row_block(x.shape[1]) // (1 + both))
+    buf = np.empty((1 + both, min(step, m), x.shape[1]))
+    for s in range(0, m, step):
+        sel = slice(s, s + step) if rows is None else rows[s:s + step]
+        blk = buf[0, :min(step, m - s)]
+        # "clip" lets take write into buf without a temporary; the indices are valid
+        xs = x[sel] if rows is None else np.take(x, sel, axis=0, out=buf[-1, :blk.shape[0]],
+                                                 mode="clip")
+        c = centers if assign is None else np.take(centers, assign[sel], axis=0, out=blk,
+                                                   mode="clip")
+        reduce(np.subtract(xs, c, out=blk), out[s:s + step])
+    return out
+
+
+def _einsum_rows(blk, out):
+    np.einsum("nd,nd->n", blk, blk, out=out)
+
+
+def _square_sum_rows(blk, out):
+    np.multiply(blk, blk, out=blk)
+    blk.sum(axis=1, out=out)
 
 
 def center_d2(x: np.ndarray, centers: np.ndarray, assign: np.ndarray,
               rows=None) -> np.ndarray:
-    """Exact squared distance of each row, or of each of ``rows``, to its assigned center.
+    """Exact squared distance of each row, or of each of ``rows``, to its assigned center,
+    reduced as ``einsum("nd,nd->n", diff, diff)``.
 
-    Runs in row blocks; a row's value does not depend on which other rows
-    are computed with it.
+    Runs in row blocks through one buffer; a row's value does not depend on
+    which other rows are computed with it.
     """
-    m = x.shape[0] if rows is None else rows.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    step = row_block(x.shape[1])
-    for s in range(0, m, step):
-        sel = slice(s, s + step) if rows is None else rows[s:s + step]
-        diff = x[sel] - centers[assign[sel]]
-        out[s:s + step] = np.einsum("nd,nd->n", diff, diff)
-    return out
+    return _blocked_d2(x, centers, assign, rows, _einsum_rows)
 
 
-def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
+def sum_d2(x: np.ndarray, centers: np.ndarray, assign=None, rows=None) -> np.ndarray:
+    """Exact squared distance of each row, or of each of ``rows``, to ``centers[assign[row]]``,
+    or to the one point ``centers`` when ``assign`` is None, reduced as
+    ``((x - c) ** 2).sum(axis=1)`` (the reduction K-means++ seeding and the
+    keyframe choice are defined by).
+
+    Runs in row blocks through one buffer, as :func:`center_d2` does.  ``x``
+    may be float32 when ``rows`` is None.
+    """
+    return _blocked_d2(x, centers, assign, rows, _square_sum_rows)
+
+
+def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None, second=False):
     """Nearest-center assignment (ties to the lower cluster id) and exact squared distances.
 
     ``sqx`` is ``einsum("nd,nd->n", x, x)`` of the float64 ``x``, for callers
-    that assign the same rows many times; it is computed when omitted.
+    that assign the same rows many times; it is computed when omitted.  With
+    ``second``, each row's second-smallest approximate value comes third.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if sqx is None:
         sqx = np.einsum("nd,nd->n", x, x)
-    assign = nearest_center(x, centers, sqx)
-    return assign, center_d2(x, centers, assign)
+    if not second:
+        assign = nearest_center(x, centers, sqx)
+        return assign, center_d2(x, centers, assign)
+    assign, _, runner_up = two_smallest(center_approx(x, centers, sqx))
+    return assign, center_d2(x, centers, assign), runner_up
 
 
 def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:

@@ -52,18 +52,31 @@ def check_n(n: int) -> None:
 def recall_at_n(query_descs, query_poses, db: PlaceMap, gt_radius: float,
                 n: int) -> RecallResult:
     """Fraction of evaluated queries whose top-N retrieval hits a true positive."""
+    return recall_curve(query_descs, query_poses, db, gt_radius, [n])[0]
+
+
+def recall_curve(query_descs, query_poses, db: PlaceMap, gt_radius: float, ns) -> list:
+    """:func:`recall_at_n` for each N of ``ns``, from one ground truth and one ranking
+    at the largest N.  The ranking is ordered by (distance, index), so its first
+    N columns are the top-N ranking exactly."""
     if len(db) == 0:
         raise EmptyDatabase("empty place map")
-    check_n(n)
+    for n in ns:
+        check_n(n)
     q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
     db.check_dim(q)
     positives = ground_truth(query_poses, db.pose_matrix(), gt_radius)
-    top = kernels.map_knn(q, db.descriptor_matrix(), min(n, len(db)))
+    top = kernels.map_knn(q, db.descriptor_matrix(), min(max(ns), len(db)))
     evaluated = sum(pos.shape[0] > 0 for pos in positives)
-    hits = sum(bool(np.isin(t, pos).any()) for t, pos in zip(top, positives))
-    pct = 100.0 * hits / evaluated if evaluated else 0.0
-    return RecallResult(percentage=pct, evaluated=evaluated,
-                        skipped=len(positives) - evaluated, N=n)
+    hit = np.array([np.isin(t, pos) for t, pos in zip(top, positives)]).reshape(top.shape)
+    # rank of each query's first true positive (past the ranking when none)
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), top.shape[1])
+    out = []
+    for n in ns:
+        hits = int((first < min(n, len(db))).sum())
+        out.append(RecallResult(percentage=100.0 * hits / evaluated if evaluated else 0.0,
+                                evaluated=evaluated, skipped=len(positives) - evaluated, N=n))
+    return out
 
 
 def one_percent_n(db_size: int) -> int:

@@ -110,10 +110,19 @@ def difference_matrix(query_seq, ref_seq) -> np.ndarray:
 
 
 def coarse_match(query, skf: SuperKeyframes) -> int:
-    """Cluster whose super keyframe is nearest the query (ties to lower id)."""
+    """Cluster whose super keyframe is nearest the query (ties to lower id).
+
+    A query whose width is not the keyframes' raises DimensionError; one with
+    a NaN or inf, or whose squared norm overflows, raises InvalidParams.
+    """
     if skf.K < 1:
         raise EmptySuperKeyframes("no clusters")
     q = np.asarray(query, dtype=np.float64).ravel()
+    dim = skf.keyframe_descriptors.shape[1]
+    if q.shape[0] != dim:
+        raise DimensionError(f"query descriptor dim {q.shape[0]}, map dim {dim}")
+    if not math.isfinite(float(np.einsum("d,d->", q, q))):
+        raise InvalidParams("query window must be finite, with finite squared norms")
     d2 = ((skf.keyframe_descriptors - q) ** 2).sum(axis=1)
     return int(np.argmin(d2))
 

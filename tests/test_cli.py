@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqlpd import cli, config, net, placemap
+from seqlpd import cli, config, kernels, metrics, net, placemap
 from seqlpd.cloud import load_kitti_bin, normalize_submap
 from seqlpd.features import local_features
 
@@ -242,6 +242,34 @@ def test_eval_reports_metrics(corpus, capsys):
     assert table["recall_at_5"] == "recall_at_5,100.0000,5,1,40"
     assert table["recall_at_1pct"].startswith("recall_at_1pct,100.0000,1,")
     assert table["seq_protocol"] == "seq_protocol,100.0000,5,1,40"
+
+
+def test_eval_ranks_the_queries_once_for_every_recall_row(corpus, capsys, monkeypatch):
+    calls = []
+    in_seq = []
+    for owner, name in ((kernels, "map_knn"), (metrics, "ground_truth")):
+        def spy(*args, _name=name, _orig=getattr(owner, name)):
+            calls.append((_name, bool(in_seq)))
+            return _orig(*args)
+        monkeypatch.setattr(owner, name, spy)
+
+    def seq_spy(*args, _orig=metrics.seq_protocol):
+        in_seq.append(True)
+        try:
+            return _orig(*args)
+        finally:
+            in_seq.pop()
+
+    monkeypatch.setattr(metrics, "seq_protocol", seq_spy)
+    code, out, _ = _run(["eval", str(corpus / "map.lpdm"), str(corpus / "c" / "query")]
+                        + DESCRIBE_FLAGS + ["--gt-radius", "1.0", "--n", "20,1,5"], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()] == [
+        "metric", "recall_at_20", "recall_at_1", "recall_at_5", "recall_at_1pct", "seq_protocol"]
+    # the four recall rows: one ranking and one ground truth; the sequence
+    # protocol keeps its own ranking
+    assert sorted(c for c in calls if not c[1]) == [("ground_truth", False), ("map_knn", False)]
+    assert [c for c in calls if c[1] and c[0] == "map_knn"] == [("map_knn", True)]
 
 
 def test_flag_overrides_config_file(corpus, tmp_path, capsys):

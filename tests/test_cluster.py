@@ -2,6 +2,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,7 +136,22 @@ def _kmeans_case(draw):
 @example(case=(_kmeans_input("rounded", 30, 256, 3), 30, 5, 2))
 @example(case=(_kmeans_input("normal", 1, 4, 4), 1, 6, 1))
 def test_kmeanspp_equals_the_oracle_bit_for_bit(case):
-    x, k, seed, iters_max = case
+    _assert_kmeanspp_matches_oracle(*case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_kmeans_case())
+@example(case=(_kmeans_input("identical", 24, 256, 1), 24, 3, 100))
+@example(case=(_kmeans_input("huge", 60, 256, 2), 12, 4, 100))
+@example(case=(_kmeans_input("rounded", 30, 256, 3), 30, 5, 2))
+@example(case=(_kmeans_input("tiny", 40, 32, 5), 6, 7, 100))
+def test_bounded_kmeanspp_equals_the_oracle_bit_for_bit(case):
+    # every size keeps Lloyd bounds: each input kind goes through the bounds and the gap rule
+    with mock.patch.object(cluster, "_POOL_MIN_SIZE", 0):
+        _assert_kmeanspp_matches_oracle(*case)
+
+
+def _assert_kmeanspp_matches_oracle(x, k, seed, iters_max):
     c = cluster.kmeanspp(x, K=k, seed=seed, iters_max=iters_max)
     centers, assignment, history = kmeans_oracle(x, k, seed, iters_max)
     assert c.centers.tobytes() == centers.tobytes()
@@ -571,3 +587,60 @@ def test_kmeanspp_means_copy_no_cluster():
     centers, assignment, _ = kmeans_oracle(x, 2, 0)
     assert c.centers.tobytes() == centers.tobytes()
     np.testing.assert_array_equal(c.assignment, assignment)
+
+
+def test_a_row_inside_the_gap_margin_sends_the_step_to_the_full_product(monkeypatch):
+    sizes = []
+    approx = kernels.center_approx
+    monkeypatch.setattr(kernels, "center_approx",
+                        lambda x, c, sqx: sizes.append(x.shape[0]) or approx(x, c, sqx))
+    # row 0 lies exactly halfway between centers 0 and 1 and is assigned to 1;
+    # every other row's bound settles it
+    x = np.array([[0.0, 0.0], [-1.0, 0.1], [-1.0, -0.1], [-1.1, 0.0],
+                  [1.0, 0.1], [1.0, -0.1], [1.1, 0.0], [0.1, 5.0]])
+    centers = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+    assign = np.array([1, 0, 0, 0, 1, 1, 1, 2])
+    d2 = kernels.center_d2(x, centers, assign)
+    lo = np.array([0.0] + [1.0] * 7)
+    sqx = np.einsum("nd,nd->n", x, x)
+    slack = kernels.approx_slack(sqx)
+    got = cluster._bounded_assign(x, sqx, centers, np.zeros(3), assign, d2, lo, slack)
+    # the one-row product tied, so the full product decided, and its tie rule
+    # moved row 0 to the lower id
+    assert sizes == [1, 8]
+    np.testing.assert_array_equal(got, kmeans_assign_oracle(x, centers)[0])
+    assert got[0] == 0
+    assert (lo * lo <= np.sort(((x[:, None] - centers) ** 2).sum(axis=2), axis=1)[:, 1]).all()
+    # a whole run on a half-integer grid meets such a row in one step and
+    # still equals the oracle
+    monkeypatch.setattr(cluster, "_POOL_MIN_SIZE", 0)
+    settled = []
+    settle = cluster._settled_argmin
+    monkeypatch.setattr(cluster, "_settled_argmin",
+                        lambda *a: settled.append(settle(*a)) or settled[-1])
+    sizes.clear()
+    x = _kmeans_input("rounded", 12, 2, 11)
+    _assert_kmeanspp_matches_oracle(x, 3, 11, 100)
+    assert sizes[2:5] == [5, 12, 3]  # a subset inside the margin, the full product, a subset
+    assert [s is None for s in settled[:2]] == [True, False]
+
+
+@pytest.mark.parametrize("rows", [None, "every other"])
+def test_exact_passes_use_one_row_block_beyond_their_output(rows):
+    rng = np.random.default_rng(16)
+    x = random_unit(rng, 8192, 256).astype(np.float64)
+    centers = x[[5, 4000, 8000]] + 0.01
+    assign, want = kmeans_assign_oracle(x, centers)
+    sel = None if rows is None else np.arange(1, 8192, 2)
+    picked = slice(None) if sel is None else sel
+    diff = x[picked] - centers[assign[picked]]
+    for fn, expect in ((kernels.center_d2, np.einsum("nd,nd->n", diff, diff)),
+                       (kernels.sum_d2, want[picked])):
+        tracemalloc.start()
+        try:
+            got = fn(x, centers, assign, rows=sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expect.tobytes()
+        assert peak <= got.nbytes + kernels.row_block(256) * 256 * 8 + (16 << 10)

@@ -232,6 +232,20 @@ def test_metrics_make_no_float64_copy_of_the_map(monkeypatch):
     assert max(recall_peak, one_peak, seq_peak) < copy_bytes
 
 
+def test_map_knn_proposes_candidates_one_query_block_at_a_time():
+    rng = np.random.default_rng(11)
+    db = random_unit(rng, 20000, 256)
+    q = db[rng.integers(0, 20000, size=300)] + 0.05 * rng.normal(size=(300, 256))
+    tracemalloc.start()
+    try:
+        top = kernels.map_knn(q, db, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 20000 * 8  # one (queries x map) float64 matrix
+    np.testing.assert_array_equal(top[::37], knn_oracle(db, q[::37], 5))
+
+
 @st.composite
 def _retrieval_case(draw):
     """A map, float64 queries and an N: float32 unit rows, or a rounded grid

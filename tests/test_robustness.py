@@ -308,3 +308,12 @@ def test_one_exact_knn():
                     if ident == "_topk_rows":
                         callers.append((name, func.name))
     assert callers == [("kernels.py", "_exact_knn")], callers
+
+
+def test_cluster_computes_no_squared_distance_itself():
+    # seeding, Lloyd and the keyframe choice take their distances from the
+    # kernels, which fix each reduction (.sum or einsum) the oracles define
+    tree = dict(_sources())["cluster.py"]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.Pow), f"** in cluster.py line {node.lineno}"

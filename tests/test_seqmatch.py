@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqlpd import cluster, kernels, placemap, seqmatch
 from seqlpd.cloud import Pose
-from seqlpd.errors import (EmptyInput, InsufficientHistory, InvalidParams,
+from seqlpd.errors import (DimensionError, EmptyInput, InsufficientHistory, InvalidParams,
                            NoValidTrajectory, OutOfBounds, WindowTooLarge)
 
 from oracles import (candidate_runs_oracle, orthogonal_to, random_unit, seqsearch_oracle,
@@ -62,6 +62,27 @@ def test_coarse_match_exact_and_tie():
         q = rng.normal(size=64)
         d2 = ((skf.keyframe_descriptors - q) ** 2).sum(axis=1)
         assert seqmatch.coarse_match(q, skf) == int(np.argmin(d2))
+
+
+def test_coarse_match_rejects_a_query_of_another_width():
+    # 8-d keyframes: a 1-wide query would broadcast against them, a 9-wide
+    # or a 2-d (2, 8) one would fail inside numpy
+    skf = _skf_for(_map_from(random_unit(np.random.default_rng(3), 12, 8)), K=3)
+    for q in (np.ones(1), np.ones(9), np.ones((2, 8)), np.ones(0)):
+        with pytest.raises(DimensionError, match=f"query descriptor dim {q.size}, map dim 8"):
+            seqmatch.coarse_match(q, skf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                         ids=["nan", "inf", "-inf", "overflowing"])
+def test_coarse_match_rejects_a_non_finite_query(bad):
+    skf = _skf_for(_map_from(random_unit(np.random.default_rng(4), 12, 8)), K=3)
+    q = np.full(8, 0.25)
+    q[5] = bad
+    with pytest.raises(InvalidParams, match="finite"):
+        seqmatch.coarse_match(q, skf)
+    with pytest.raises(InvalidParams, match="finite"):  # the all-NaN query
+        seqmatch.coarse_match(np.full(8, np.nan), skf)
 
 
 def test_trajectory_score_single_cell():
