@@ -283,8 +283,11 @@ def _blocked_d2(x, centers, assign, rows, reduce) -> np.ndarray:
     float32 rows of ``x`` exactly), and ``reduce(block, out)`` sums each row.
     When both operands are gathered they share the buffer, half a block each.
     A row's value is that of the unblocked ``x[rows] - centers[assign[rows]]``.
-    ``x`` must be float64 when ``rows`` is given.
+    ``rows`` ascends without repeats, so when it holds every row the pass
+    slices ``x`` instead.  ``x`` must be float64 when ``rows`` is given.
     """
+    if rows is not None and rows.shape[0] == x.shape[0]:
+        rows = None
     m = x.shape[0] if rows is None else rows.shape[0]
     out = np.empty(m)
     both = rows is not None and assign is not None
@@ -313,8 +316,8 @@ def _square_sum_rows(blk, out):
 
 def center_d2(x: np.ndarray, centers: np.ndarray, assign: np.ndarray,
               rows=None) -> np.ndarray:
-    """Exact squared distance of each row, or of each of ``rows``, to its assigned center,
-    reduced as ``einsum("nd,nd->n", diff, diff)``.
+    """Exact squared distance of each row, or of each of ``rows`` (ascending, no
+    repeats), to its assigned center, reduced as ``einsum("nd,nd->n", diff, diff)``.
 
     Runs in row blocks through one buffer; a row's value does not depend on
     which other rows are computed with it.
@@ -323,8 +326,8 @@ def center_d2(x: np.ndarray, centers: np.ndarray, assign: np.ndarray,
 
 
 def sum_d2(x: np.ndarray, centers: np.ndarray, assign=None, rows=None) -> np.ndarray:
-    """Exact squared distance of each row, or of each of ``rows``, to ``centers[assign[row]]``,
-    or to the one point ``centers`` when ``assign`` is None, reduced as
+    """Exact squared distance of each row, or of each of ``rows`` (ascending, no repeats), to
+    ``centers[assign[row]]``, or to the one point ``centers`` when ``assign`` is None, reduced as
     ``((x - c) ** 2).sum(axis=1)`` (the reduction K-means++ seeding and the
     keyframe choice are defined by).
 
