@@ -46,6 +46,10 @@ def _list_frames(input_dir) -> list:
               if n.endswith(".bin") or (n.endswith(".csv") and n != "poses.csv")]
     if not frames:
         raise EmptyInput(f"no .bin or .csv frames in {input_dir}")
+    stems = [n.rsplit(".", 1)[0] for n in frames]
+    if all(stem.isdecimal() for stem in stems):
+        # frame ids in numeric order, so "10.bin" follows "2.bin"
+        frames = [n for _, n in sorted(zip(map(int, stems), frames))]
     return frames
 
 

@@ -98,15 +98,12 @@ class ClusterParams:
 
     D: float
     K_max: int = 25
-    iters_max: int = 100
     seed: int = 0
 
     def __post_init__(self):
         _check_ceiling(self.D)
         if self.K_max < 1:
             raise InvalidParams("K_max must be >= 1")
-        if self.iters_max < 1:
-            raise InvalidParams("iters_max must be >= 1")
         if self.seed < 0:
             raise InvalidParams("seed must be >= 0")
 
@@ -342,11 +339,10 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
                       distortion=history[-1], history=tuple(history))
 
 
-def _best_of_restarts(x: np.ndarray, k: int, params: ClusterParams,
-                      restarts: int = 3) -> Clustering:
+def _best_of_restarts(x: np.ndarray, k: int, params: ClusterParams) -> Clustering:
     best = None
-    for r in range(restarts):
-        c = kmeanspp(x, k, seed=params.seed + 1000 * k + r, iters_max=params.iters_max)
+    for r in range(3):
+        c = kmeanspp(x, k, seed=params.seed + 1000 * k + r)
         if best is None or c.distortion < best.distortion:
             best = c
     return best

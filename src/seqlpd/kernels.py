@@ -12,8 +12,9 @@ tree's last candidate distance, or the smallest approximate value left
 out, each less its rounding.  :func:`_exact_knn` recomputes the
 candidates' distances exactly and ranks them by (distance, index); a row
 whose k-th exact distance reaches its bound may have an unseen point tied
-with it, and only such a row is answered by an exact scan of every point.
-The result matches an exhaustive scan bit for bit.
+with it, and only such a row is answered by an exact scan of every point:
+one pass of :func:`_blocked_d2`, the one blocked squared-distance loop, and
+one stable sort.  The result matches an exhaustive scan bit for bit.
 
 Sequence search (``seqmatch.detect_loop``) follows the same rule: one BLAS
 product, widened by :func:`approx_slack`, bounds every difference cell, one
@@ -68,24 +69,12 @@ def kdtree_build(points: np.ndarray):
 
 
 def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
-    """Exact k smallest per row of ``d2`` ordered by (value, index).
+    """Exact k smallest per row of ``d2`` ordered by (value, index): one stable sort.
 
     Values must be exact (bitwise-reproducible) for the tie rule to hold;
     callers compute them with the direct squared-difference formula.
     """
-    b, n = d2.shape
-    if k >= n:
-        return np.argsort(d2, axis=1, kind="stable")[:, :n]
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(d2, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    sel = np.take_along_axis(part, order, axis=1)
-    # rows where value ties straddle the partition boundary need a full sort
-    thresh = vals.max(axis=1)
-    bad = np.nonzero((d2 <= thresh[:, None]).sum(axis=1) > k)[0]
-    for r in bad:
-        sel[r] = np.argsort(d2[r], kind="stable")[:k]
-    return sel
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
@@ -100,7 +89,7 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
     may be float32: a point is widened exactly where it is subtracted.
     Temporaries stay near ``_BLOCK_ELEMS``.
     """
-    b, (n, d) = qs.shape[0], pts.shape
+    b, d = qs.shape[0], pts.shape[1]
     out = np.empty((b, k), dtype=np.int64)
     kth = np.empty(b)
     qstep = max(1, _BLOCK_ELEMS // max(1, cand.shape[1] * d))
@@ -111,18 +100,11 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
         order = np.lexsort((c, d2), axis=1)[:, :k]
         out[s:s + qstep] = np.take_along_axis(c, order, axis=1)
         kth[s:s + qstep] = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
-    bad = np.nonzero(kth >= bound)[0]
-    step = row_block(d)
-    rstep = max(1, step // max(1, n))  # several rows when the points fit one block
-    for s in range(0, bad.shape[0], rstep):
-        rows = bad[s:s + rstep]
-        full = np.empty((rows.shape[0], n))
-        for c in range(0, n, step):
-            diff = qs[rows, None, :] - pts[None, c:c + step]
-            full[:, c:c + step] = np.einsum("bnd,bnd->bn", diff, diff)
+    for r in np.nonzero(kth >= bound)[0]:
+        full = _blocked_d2(pts, qs[r], None, None, _einsum_rows)
         if own is not None:
-            full[np.arange(rows.shape[0]), own[rows]] = np.inf
-        out[rows] = _topk_rows(full, k)
+            full[own[r]] = np.inf
+        out[r] = _topk_rows(full[None], k)[0]
     return out
 
 
@@ -356,16 +338,13 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None, second=False):
 
 
 def pairwise_l2(query_descs: np.ndarray, ref_descs: np.ndarray) -> np.ndarray:
-    """Dense L2 distance matrix, float64, exact zeros for identical rows."""
+    """Dense L2 distance matrix, float64, exact zeros for identical rows; a blocked pass a row."""
     qd = np.ascontiguousarray(query_descs, dtype=np.float64)
     rd = np.ascontiguousarray(ref_descs, dtype=np.float64)
-    out = np.empty((qd.shape[0], rd.shape[0]), dtype=np.float64)
-    step = row_block(rd.shape[1])
+    out = np.empty((qd.shape[0], rd.shape[0]))
     for a in range(qd.shape[0]):
-        for s in range(0, rd.shape[0], step):
-            diff = rd[s:s + step] - qd[a]
-            out[a, s:s + step] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    return out
+        out[a] = _blocked_d2(rd, qd[a], None, None, _einsum_rows)
+    return np.sqrt(out, out=out)
 
 
 def trajectory_grid(m: np.ndarray, offsets: np.ndarray, runs=None):

@@ -375,9 +375,9 @@ def lazy_quadruplet_loss(d_anchor, positives, negatives, neg_star,
         raise EmptyInput("need at least one positive")
     if neg.ndim != 2 or neg.shape[0] < 1:
         raise EmptyInput("need at least one negative")
-    min_pos = float(((pos - anchor) ** 2).sum(axis=1).min())
-    d_neg = ((neg - anchor) ** 2).sum(axis=1)
-    d_star = ((neg - star) ** 2).sum(axis=1)
+    min_pos = float(kernels.sum_d2(pos, anchor).min())
+    d_neg = kernels.sum_d2(neg, anchor)
+    d_star = kernels.sum_d2(neg, star)
     first = float(np.maximum(alpha + min_pos - d_neg, 0.0).max())
     second = float(np.maximum(beta + min_pos - d_star, 0.0).max())
     return first + second

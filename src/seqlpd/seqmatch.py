@@ -123,8 +123,7 @@ def coarse_match(query, skf: SuperKeyframes) -> int:
         raise DimensionError(f"query descriptor dim {q.shape[0]}, map dim {dim}")
     if not math.isfinite(float(np.einsum("d,d->", q, q))):
         raise InvalidParams("query window must be finite, with finite squared norms")
-    d2 = ((skf.keyframe_descriptors - q) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(np.argmin(kernels.sum_d2(skf.keyframe_descriptors, q)))
 
 
 def _offset_grid(params: MatchParams):

@@ -517,6 +517,32 @@ def test_non_decimal_digit_stem_takes_the_frame_index(corpus, tmp_path, capsys):
     assert placemap.load(tmp_path / "m.lpdm").frame_ids().tolist() == [0, 1]
 
 
+def _unpadded(src, dst):
+    """A copy of frame directory ``src`` with its frames renamed from 000012.bin to 12.bin."""
+    dst.mkdir()
+    for path in src.iterdir():
+        name = path.name if path.name == "poses.csv" else f"{int(path.stem)}{path.suffix}"
+        (dst / name).write_bytes(path.read_bytes())
+    return dst
+
+
+def test_unpadded_frame_names_run_in_numeric_order(corpus, tmp_path, capsys):
+    # "10.bin" sorts before "2.bin" by name; frames must still run by number
+    frames = _unpadded(corpus / "c" / "map", tmp_path / "map")
+    assert {"2.bin", "10.bin", "0.bin"} <= {p.name for p in frames.iterdir()}
+    code, _, err = _run(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")]
+                        + DESCRIBE_FLAGS, capsys)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "m.lpdm").read_bytes() == (corpus / "map.lpdm").read_bytes()
+    outs = []
+    for query in (corpus / "c" / "query", _unpadded(corpus / "c" / "query", tmp_path / "q")):
+        code, out, err = _run(["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"),
+                               str(query)] + DESCRIBE_FLAGS + ["--W", "3"], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_non_finite_clusters_and_sigma_are_rejected(corpus, tmp_path, capsys):
     blob = (corpus / "map.lpdc").read_bytes()
     nan = np.array([np.nan], dtype="<f4").tobytes()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (feature_knn_oracle, kmeans_assign_oracle, knn_oracle,
                      local_feature_oracle, pairwise_l2_oracle, trajectory_grid_oracle)
-from seqlpd import cloud, kernels
+from seqlpd import cloud, kernels, net, seqmatch
+from seqlpd.cluster import SuperKeyframes
 
 
 def _offsets(w):
@@ -253,6 +254,49 @@ def test_blocked_distance_passes_match_unblocked_formula():
     assert kernels.center_d2(ref, centers, assign, rows).tobytes() == d2[rows].tobytes()
     assign, d2 = kernels.kmeans_assign(np.empty((0, 256)), centers)
     assert assign.shape == d2.shape == (0,)
+
+
+def _sq_rows(a, b):
+    return ((a - b) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("case", ["pairwise_f32", "pairwise_f64", "coarse_match", "loss"])
+def test_kernel_distances_give_the_inline_formulas_bytes(case):
+    # pairwise_l2, coarse_match and the training loss take their squared
+    # distances from the one blocked pass; each keeps the inline formula's bits
+    rng = np.random.default_rng(11)
+    if case.startswith("pairwise"):
+        # 1,300 rows: three row blocks at d = 256
+        dtype = np.float32 if case == "pairwise_f32" else np.float64
+        ref = rng.normal(size=(1300, 256)).astype(dtype)
+        queries = np.vstack([rng.normal(size=(9, 256)), ref[[700]]])
+        got = kernels.pairwise_l2(queries, ref)
+        for a, q in enumerate(queries):
+            diff = ref - q
+            assert got[a].tobytes() == np.sqrt(np.einsum("nd,nd->n", diff, diff)).tobytes()
+        assert got[9, 700] == 0.0
+    elif case == "coarse_match":
+        kf = rng.normal(size=(40, 64))
+        kf[31] = kf[12]  # a tie goes to the lower id
+        skf = SuperKeyframes(kf, np.arange(40), [np.array([i]) for i in range(40)], kf)
+        for q in np.vstack([rng.normal(size=(50, 64)), kf[31] + 1e-3]):
+            assert seqmatch.coarse_match(q, skf) == int(np.argmin(_sq_rows(kf, q)))
+            assert kernels.sum_d2(kf, q).tobytes() == _sq_rows(kf, q).tobytes()
+        assert seqmatch.coarse_match(kf[31] + 1e-3, skf) == 12
+    else:
+        losses = []
+        for _ in range(50):
+            d = int(rng.integers(1, 300))
+            anchor = rng.normal(size=d)
+            # rows near the anchor, so the hinges are often open
+            near = anchor + 0.3 * rng.normal(size=(9, d))
+            pos, neg, star = near[:3], near[3:8], near[8]
+            min_pos = float(_sq_rows(pos, anchor).min())
+            want = (float(np.maximum(0.5 + min_pos - _sq_rows(neg, anchor), 0.0).max())
+                    + float(np.maximum(0.2 + min_pos - _sq_rows(neg, star), 0.0).max()))
+            losses.append(net.lazy_quadruplet_loss(anchor, pos, neg, star))
+            assert losses[-1] == want
+        assert sum(v > 0.0 for v in losses) > 10
 
 
 def test_trajectory_grid_paths_agree():

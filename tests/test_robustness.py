@@ -310,10 +310,14 @@ def test_one_exact_knn():
     assert callers == [("kernels.py", "_exact_knn")], callers
 
 
-def test_cluster_computes_no_squared_distance_itself():
-    # seeding, Lloyd and the keyframe choice take their distances from the
-    # kernels, which fix each reduction (.sum or einsum) the oracles define
-    tree = dict(_sources())["cluster.py"]
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            assert not isinstance(node.op, ast.Pow), f"** in cluster.py line {node.lineno}"
+def test_only_kernels_compute_squared_distances():
+    # every squared distance comes from the kernels, which fix each reduction
+    # (.sum or einsum) the oracles define; a power of a constant is no distance
+    for name, tree in _sources():
+        if name == "kernels.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign):
+                assert not isinstance(node.op, ast.Pow), f"**= in {name} line {node.lineno}"
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                assert isinstance(node.left, ast.Constant), f"** in {name} line {node.lineno}"
