@@ -5,16 +5,34 @@ distances are computed with the direct squared-difference formula, and
 distance ties are always broken by the lower index.
 
 Every kNN kernel follows one candidate rule.  A fast source proposes k + 8
-candidates per query: a ``scipy.spatial.cKDTree`` for :func:`kdtree_knn`, a
-BLAS product for :func:`feature_knn` and for retrieval's :func:`map_knn`.
-The source also gives a bound that every point it left out reaches: the
-tree's last candidate distance, or the smallest approximate value left
-out, each less its rounding.  :func:`_exact_knn` recomputes the
-candidates' distances exactly and ranks them by (distance, index); a row
-whose k-th exact distance reaches its bound may have an unseen point tied
-with it, and only such a row is answered by an exact scan of every point:
-one pass of :func:`_blocked_d2`, the one blocked squared-distance loop, and
-one stable sort.  The result matches an exhaustive scan bit for bit.
+candidates per query, ascending by an approximate squared distance that lies
+within ``tol`` of the exact one: a ``scipy.spatial.cKDTree`` for
+:func:`kdtree_knn`, a BLAS product for :func:`feature_knn` and for
+retrieval's :func:`map_knn`.  The source also gives a bound that every point
+it left out reaches: the tree's last candidate distance, or the smallest
+approximate value left out, each less its rounding.  :func:`_exact_knn`
+answers each row by one of three paths:
+
+1. *Certified*: the row's first k + 1 values are more than ``2 tol`` apart
+   at every step, and its k-th value plus ``tol`` lies below its bound.  The
+   exact distances then keep that strict order and the k-th stays below the
+   bound, so the first k candidates are the answer as they stand.
+2. *Re-ranked*: any other row's candidates get exact distances and are
+   ranked by (distance, index) with one stable sort.
+3. *Full scan*: a re-ranked row whose k-th exact distance reaches its bound
+   may have an unseen point tied with it; it is answered by one pass of
+   :func:`_blocked_d2`, the one blocked squared-distance loop, and one
+   stable sort.
+
+``tol`` covers each source's rounding.  The tree sums the same squared
+coordinate differences in its own order and returns a square root, so its
+squared distances are within a few ulps of the exact ones; ``tol`` is
+``_KNN_TIE_RTOL`` times the row's largest candidate value, plus
+``_KNN_TOL_FLOOR`` so that a difference of subnormal values, whose relative
+error is unbounded, never certifies.  The product's values are within
+:func:`approx_slack`.  The result matches an exhaustive scan bit for bit.
+The kNN kernels refuse a row that is not finite or whose squared norm could
+overflow a squared distance (``InvalidParams``).
 
 Sequence search (``seqmatch.detect_loop``) follows the same rule: one BLAS
 product, widened by :func:`approx_slack`, bounds every difference cell, one
@@ -25,13 +43,18 @@ get exact cells from :func:`pairwise_l2`.
 
 import numpy as np
 
+from .errors import InvalidParams
+
 # extra candidates beyond k, so ties at the k-th distance rarely reach
 # the full-scan fallback
 _KNN_SLACK = 8
-# relative gap between the k-th exact distance and the tree's last
-# candidate below which an unseen point could still tie (covers the
-# tree's differently rounded distance arithmetic)
+# relative rounding allowance of the tree's squared distances: it narrows the
+# bound of the tree's last candidate and scales the tree's certification
+# ``tol`` (both cover the tree's differently rounded distance arithmetic)
 _KNN_TIE_RTOL = 1e-9
+# absolute part of the tree's ``tol``: two values closer than the smallest
+# normal float64 never certify an order
+_KNN_TOL_FLOOR = np.finfo(np.float64).tiny
 # elements per row block of the exact distance passes (1 MB of float64):
 # small enough that each block's temporaries stay in cache
 _BLOCK_ELEMS = 1 << 17
@@ -58,6 +81,17 @@ def approx_slack(sq: np.ndarray) -> float:
     return 1e-9 * (1.0 + 2.0 * float(sq.max(initial=0.0)))
 
 
+def _check_finite(sq: np.ndarray, what: str) -> None:
+    """Raise InvalidParams unless four times every squared norm in ``sq`` is finite.
+
+    A NaN or inf row fails, and so does one whose squared norm is within a
+    factor four of overflow: for the rows that pass, every squared distance
+    (at most 2|a|^2 + 2|b|^2) and every approximate value stays finite.
+    """
+    if not (sq <= np.finfo(np.float64).max / 4.0).all():  # NaN compares False
+        raise InvalidParams(f"{what} must be finite, with finite squared norms")
+
+
 def kdtree_build(points: np.ndarray):
     """KD-tree over ``points`` (n, d) for :func:`kdtree_knn`; keeps its own copy."""
     # imported here: scipy.spatial costs ~0.35 s and ~36 MB, and runs that
@@ -65,6 +99,7 @@ def kdtree_build(points: np.ndarray):
     from scipy.spatial import cKDTree
 
     pts = np.ascontiguousarray(points, dtype=np.float64)
+    _check_finite(np.einsum("nd,nd->n", pts, pts), "points")
     return cKDTree(pts, copy_data=True)
 
 
@@ -77,29 +112,61 @@ def _topk_rows(d2: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def _rerank(qs: np.ndarray, pts: np.ndarray, cand: np.ndarray, k: int):
+    """The k nearest of each row's candidate columns ``cand`` by (exact squared
+    distance, index), and each row's k-th exact squared distance.
+
+    ``cand`` is sorted into index order in place first, so one stable sort by
+    distance breaks ties by the lower index (a row's indices are distinct).
+    The differences are formed in the gathered points' float64 buffer.
+    """
+    cand.sort(axis=1)
+    diff = pts[cand].astype(np.float64, copy=False)
+    np.subtract(qs[:, None, :], diff, out=diff)
+    d2 = np.einsum("bkd,bkd->bk", diff, diff)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1), d2[np.arange(cand.shape[0]), order[:, -1]]
+
+
 def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
-               k: int, own=None) -> np.ndarray:
+               k: int, own=None, vals=None, tol=0.0) -> np.ndarray:
     """Exact k nearest ``pts`` rows per query from candidate columns ``cand``.
 
-    Ranks each row's candidates by (exact squared distance, index).  Every
-    point the candidate source left out lies at least ``bound`` away, so a
-    row whose k-th exact distance reaches its bound may have an unseen point
-    tied with or closer than its k-th neighbor; that row is answered by an
-    exact scan of every point except its ``own`` index, if given.  ``pts``
-    may be float32: a point is widened exactly where it is subtracted.
-    Temporaries stay near ``_BLOCK_ELEMS``.
+    ``vals``, when given, holds each candidate's approximate squared
+    distance, ascending along each row and within ``tol`` (a scalar or one
+    per row) of the exact value.  A row is certified when its first k + 1
+    values are more than ``2 tol`` apart at every step and its k-th value
+    plus ``tol`` lies below its bound: its exact distances then keep that
+    strict order, so its first k candidates are the answer.  Every other
+    row (every row without ``vals``) is re-ranked by (exact squared
+    distance, index).  Every point the candidate source left out lies at
+    least ``bound`` away, so a re-ranked row whose k-th exact distance
+    reaches its bound may have an unseen point tied with or closer than its
+    k-th neighbor; that row is answered by an exact scan of every point
+    except its ``own`` index, if given.  ``pts`` may be float32: a point is
+    widened exactly where it is subtracted.  ``cand`` must be writable: the
+    re-rank sorts a block's rows in place.  Temporaries stay near
+    ``_BLOCK_ELEMS``.
     """
     b, d = qs.shape[0], pts.shape[1]
     out = np.empty((b, k), dtype=np.int64)
-    kth = np.empty(b)
+    bound = np.broadcast_to(bound, (b,))
+    tol = np.broadcast_to(tol, (b,))
+    # k-th exact distance of each re-ranked row; certified rows never scan
+    kth = np.full(b, -np.inf)
     qstep = max(1, _BLOCK_ELEMS // max(1, cand.shape[1] * d))
     for s in range(0, b, qstep):
-        c = cand[s:s + qstep]
-        diff = qs[s:s + qstep, None, :] - pts[c]
-        d2 = np.einsum("bkd,bkd->bk", diff, diff)
-        order = np.lexsort((c, d2), axis=1)[:, :k]
-        out[s:s + qstep] = np.take_along_axis(c, order, axis=1)
-        kth[s:s + qstep] = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+        rows = np.s_[s:s + qstep]
+        if vals is not None:
+            v, t = vals[rows], tol[rows]
+            out[rows] = cand[rows, :k]
+            sure = (np.diff(v[:, :k + 1], axis=1) > 2.0 * t[:, None]).all(axis=1)
+            sure &= v[:, k - 1] + t < bound[rows]
+            if sure.all():
+                continue
+            if sure.any():
+                rows = s + np.flatnonzero(~sure)
+        out[rows], kth[rows] = _rerank(qs[rows], pts, cand[rows], k)
     for r in np.nonzero(kth >= bound)[0]:
         full = _blocked_d2(pts, qs[r], None, None, _einsum_rows)
         if own is not None:
@@ -109,31 +176,49 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
 
 
 def _candidates(approx: np.ndarray, npre: int, slack: float):
-    """The ``npre`` smallest columns per row, and the smallest value left out less ``slack``."""
+    """The ``npre`` smallest columns per row and their values, both ascending by
+    value, and the smallest value left out less ``slack``."""
     part = np.argpartition(approx, npre, axis=1)
-    return part[:, :npre], np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0] - slack
+    cand = part[:, :npre]
+    vals = np.take_along_axis(approx, cand, axis=1)
+    order = np.argsort(vals, axis=1)
+    bound = np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0] - slack
+    return (np.take_along_axis(cand, order, axis=1), np.take_along_axis(vals, order, axis=1),
+            bound)
+
+
+def _approx_d2(prod: np.ndarray, sqa: np.ndarray, sqb: np.ndarray) -> np.ndarray:
+    """``sqa[:, None] + sqb - 2 prod``, written over the products ``prod``."""
+    prod *= -2.0
+    prod += sqa[:, None]
+    prod += sqb
+    return prod
 
 
 def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     """k nearest tree points per query row, ascending (distance, index).
 
     Saturates at the tree size.  The tree proposes k + 8 candidates per
-    query; every point it left out is at least as far as its last one, so
-    the bound of the exact re-rank is that distance, narrowed by the tree's
-    rounding.
+    query with their distances, whose squares are the values certification
+    reads; every point it left out is at least as far as its last one, so
+    that distance, narrowed by the tree's rounding, is the bound.
     """
     pts = tree.data
     qs = np.ascontiguousarray(queries, dtype=np.float64).reshape(-1, pts.shape[1])
+    _check_finite(np.einsum("qd,qd->q", qs, qs), "queries")
     n = pts.shape[0]
     kk = min(k, n)
     if kk == 0:
         return np.empty((qs.shape[0], 0), dtype=np.int64)
     m = min(kk + _KNN_SLACK, n)
     far, cand = tree.query(qs, k=m)
-    far = far.reshape(-1, m)[:, -1]
+    vals = far.reshape(-1, m)
+    np.multiply(vals, vals, out=vals)
+    last = vals[:, -1]
+    bound = np.inf if m == n else last * (1.0 - _KNN_TIE_RTOL)
+    tol = _KNN_TIE_RTOL * last + _KNN_TOL_FLOOR
     cand = cand.reshape(-1, m).astype(np.int64, copy=False)
-    bound = np.inf if m == n else far * far * (1.0 - _KNN_TIE_RTOL)
-    return _exact_knn(qs, pts, cand, bound, kk)
+    return _exact_knn(qs, pts, cand, bound, kk, vals=vals, tol=tol)
 
 
 def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
@@ -141,29 +226,32 @@ def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
 
     Saturates at n-1 neighbors; ties broken by lower index.  Returns an
     (n, min(k, n-1)) index array.  A BLAS product gives approximate squared
-    distances; the k + 8 smallest of each row are the candidates, and the
-    smallest approximate value left out, less the product's rounding, bounds
-    the exact re-rank.  Rows run in blocks of ``_BLOCK_ELEMS // n``.
+    distances, built in one buffer per block of ``_BLOCK_ELEMS // n`` rows;
+    the k + 8 smallest of each row are the candidates, the product's
+    rounding bound :func:`approx_slack` is their ``tol``, and the smallest
+    approximate value left out, less that rounding, is the bound.
     """
     x = np.ascontiguousarray(feats, dtype=np.float64)
     n = x.shape[0]
     kk = min(k, n - 1)
     out = np.empty((n, kk), dtype=np.int64)
+    sq = np.einsum("nf,nf->n", x, x)
+    _check_finite(sq, "feature rows")
     if kk == 0:
         return out
-    sq = np.einsum("nf,nf->n", x, x)
     npre = min(kk + _KNN_SLACK, n - 1)
     slack = approx_slack(sq)
     step = max(1, _BLOCK_ELEMS // n)
+    buf = np.empty((min(step, n), n))
     for s in range(0, n, step):
         e = min(s + step, n)
         own = np.arange(s, e)
-        approx = sq[s:e, None] + sq[None, :] - 2.0 * (x[s:e] @ x.T)
+        approx = _approx_d2(np.matmul(x[s:e], x.T, out=buf[:e - s]), sq[s:e], sq)
         approx[own - s, own] = np.inf
         # column npre holds the smallest value left out (the row's own inf
         # when every other row is a candidate)
-        cand, bound = _candidates(approx, npre, slack)
-        out[s:e] = _exact_knn(x[s:e], x, cand, bound, kk, own)
+        cand, vals, bound = _candidates(approx, npre, slack)
+        out[s:e] = _exact_knn(x[s:e], x, cand, bound, kk, own, vals, slack)
     return out
 
 
@@ -171,32 +259,32 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
     """k nearest ``pts`` rows per query row, ascending (squared distance, index).
 
     ``pts`` (usually a map's float32 view) is widened one row block at a time
-    for the BLAS product; when k + 8 covers the map, every row is a candidate.
-    Candidates are proposed for one block of queries at a time, so the
-    approximate values and their partition indices never exceed
-    ``_QUERY_BLOCK_ELEMS`` each.
+    for the BLAS product; when k + 8 covers the map, every row is a candidate
+    and is re-ranked.  Candidates are proposed for one block of queries at a
+    time from one buffer of approximate values, so those values and their
+    partition indices never exceed ``_QUERY_BLOCK_ELEMS`` each; their ``tol``
+    is :func:`approx_slack`, as in :func:`feature_knn`.
     """
     qs = np.ascontiguousarray(queries, dtype=np.float64)
     (nq, d), n, kk = qs.shape, pts.shape[0], min(k, pts.shape[0])
-    if kk + _KNN_SLACK >= n:
-        return _exact_knn(qs, pts, np.broadcast_to(np.arange(n), (nq, n)), np.inf, kk)
     sqq = np.einsum("qd,qd->q", qs, qs)
-    sqp = np.empty(n)
+    sqp = np.einsum("nd,nd->n", pts, pts, dtype=np.float64)
+    _check_finite(sqq, "queries")
+    _check_finite(sqp, "map rows")
+    if kk + _KNN_SLACK >= n:
+        return _exact_knn(qs, pts, np.tile(np.arange(n), (nq, 1)), np.inf, kk)
+    slack = approx_slack(np.append(sqq, sqp))
     out = np.empty((nq, kk), dtype=np.int64)
     step, qstep = row_block(d), max(1, _QUERY_BLOCK_ELEMS // n)
+    buf = np.empty((min(qstep, nq), n))
     for a in range(0, nq, qstep):
         q = qs[a:a + qstep]
-        approx = np.empty((q.shape[0], n))
+        approx = buf[:q.shape[0]]
         for s in range(0, n, step):
-            blk = pts[s:s + step].astype(np.float64)
-            if a == 0:
-                sqp[s:s + step] = np.einsum("nd,nd->n", blk, blk)
-            approx[:, s:s + step] = (sqq[a:a + qstep, None] + sqp[None, s:s + step]
-                                     - 2.0 * (q @ blk.T))
-        if a == 0:
-            slack = approx_slack(np.append(sqq, sqp))
-        cand, bound = _candidates(approx, kk + _KNN_SLACK, slack)
-        out[a:a + qstep] = _exact_knn(q, pts, cand, bound, kk)
+            np.matmul(q, pts[s:s + step].astype(np.float64).T, out=approx[:, s:s + step])
+        cand, vals, bound = _candidates(_approx_d2(approx, sqq[a:a + qstep], sqp),
+                                        kk + _KNN_SLACK, slack)
+        out[a:a + qstep] = _exact_knn(q, pts, cand, bound, kk, vals=vals, tol=slack)
     return out
 
 

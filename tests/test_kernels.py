@@ -1,7 +1,8 @@
 """Each kernel must agree with the loop formulation of its contract in
-``tests/oracles.py``, and the kNN kernels' two paths (candidates with an
-exact re-rank, and the exact full scan they fall back to on ties) must
-agree with each other bit for bit.
+``tests/oracles.py``, and the kNN kernels' three paths (rows certified from
+the candidate source's values, rows re-ranked with exact distances, and the
+exact full scan a re-ranked row falls back to on ties) must agree with each
+other bit for bit.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (feature_knn_oracle, kmeans_assign_oracle, knn_oracle,
                      local_feature_oracle, pairwise_l2_oracle, trajectory_grid_oracle)
 from seqlpd import cloud, kernels, net, seqmatch
 from seqlpd.cluster import SuperKeyframes
+from seqlpd.errors import InvalidParams
 
 
 def _offsets(w):
@@ -20,15 +22,24 @@ def _offsets(w):
     return np.floor(vs[:, None] * np.arange(w)[None, :] + 0.5).astype(np.int64)
 
 
-def _scans(monkeypatch, fn):
-    """fn()'s result and the number of rows answered by the exact full scan."""
-    rows = []
-    topk = kernels._topk_rows
+def _paths(monkeypatch, fn):
+    """fn()'s result, the number of rows sent to the exact re-rank, and the
+    number answered by the exact full scan."""
+    reranked, scanned = [], []
+    rerank, topk = kernels._rerank, kernels._topk_rows
+    monkeypatch.setattr(kernels, "_rerank", lambda qs, pts, cand, kk:
+                        reranked.append(cand.shape[0]) or rerank(qs, pts, cand, kk))
     monkeypatch.setattr(kernels, "_topk_rows",
-                        lambda d2, kk: rows.append(d2.shape[0]) or topk(d2, kk))
+                        lambda d2, kk: scanned.append(d2.shape[0]) or topk(d2, kk))
     out = fn()
     monkeypatch.undo()
-    return out, sum(rows)
+    return out, sum(reranked), sum(scanned)
+
+
+def _scans(monkeypatch, fn):
+    """fn()'s result and the number of rows answered by the exact full scan."""
+    out, _, scans = _paths(monkeypatch, fn)
+    return out, scans
 
 
 def _knn_and_scans(monkeypatch, pts, queries, k, force=False):
@@ -111,6 +122,85 @@ def test_kdtree_build_copies_points():
     np.testing.assert_array_equal(kernels.kdtree_knn(tree, np.zeros((1, 3)), 1), [[0]])
 
 
+def _knn(kernel, x, queries, k):
+    """One kNN kernel's result on (x, queries, k) and its oracle's;
+    ``feature_knn`` ranks the rows of ``x`` against each other."""
+    if kernel == "kdtree":
+        return (lambda: kernels.kdtree_knn(kernels.kdtree_build(x), queries, k),
+                knn_oracle(x, queries, k))
+    if kernel == "feature":
+        return lambda: kernels.feature_knn(x, k), feature_knn_oracle(x, k)
+    return lambda: kernels.map_knn(queries, x, k), knn_oracle(x, queries, k)
+
+
+def _ranked_d2(kernel, x, queries):
+    """Each query's exact squared distances to the rows of ``x``, ascending; for
+    feature_knn the queries are the rows of ``x``, each leaving itself out."""
+    x = np.asarray(x, dtype=np.float64)
+    q = x if kernel == "feature" else np.asarray(queries, dtype=np.float64)
+    d2 = np.stack([((x - row) ** 2).sum(axis=1) for row in q])
+    if kernel == "feature":
+        np.fill_diagonal(d2, np.inf)
+    return np.sort(d2, axis=1)
+
+
+def _near_tied_rows(kernel, x, queries, k):
+    """Rows whose k + 1 nearest exact squared distances hold two within 1e-6 of
+    each other, relative to the largest."""
+    top = _ranked_d2(kernel, x, queries)[:, :k + 1]
+    return int((np.diff(top, axis=1) <= 1e-6 * top[:, -1:]).any(axis=1).sum())
+
+
+_KNN_KERNELS = ["kdtree", "feature", "map"]
+
+
+@pytest.mark.parametrize("kernel", _KNN_KERNELS)
+def test_generic_rows_are_certified_without_exact_distances(monkeypatch, kernel):
+    rng = np.random.default_rng(12)
+    x, queries = rng.normal(size=(500, 6)), rng.normal(size=(60, 6))
+    fn, want = _knn(kernel, x, queries, 20)
+    got, reranked, scans = _paths(monkeypatch, fn)
+    np.testing.assert_array_equal(got, want)
+    assert scans == 0 and reranked == _near_tied_rows(kernel, x, queries, 20)
+    # one feature row holds two neighbors 1.3e-8 apart, inside the product's
+    # 2 tol of 9e-8; every other row is certified
+    assert reranked == (kernel == "feature")
+
+
+@pytest.mark.parametrize("kernel", _KNN_KERNELS)
+def test_upsampled_submaps_rerank_their_tied_rows(monkeypatch, kernel):
+    """Duplicated points tie exactly; only rows with a tie among their k + 1
+    nearest are re-ranked."""
+    rng = np.random.default_rng(1)
+    total = 0
+    for n_points, n_sub in ((40, 400), (256, 1024), (900, 1024)):
+        pts = cloud.normalize_submap(cloud.PointCloud(rng.normal(size=(n_points, 3))),
+                                     n_sub=n_sub, seed=n_points).points
+        fn, want = _knn(kernel, pts, pts, 20)
+        got, reranked, _ = _paths(monkeypatch, fn)
+        np.testing.assert_array_equal(got, want)
+        assert reranked == _near_tied_rows(kernel, pts, pts, 20)
+        total += reranked
+    assert total > 1024
+
+
+@pytest.mark.parametrize("kernel", _KNN_KERNELS)
+def test_near_ties_take_the_exact_path(monkeypatch, kernel):
+    """Copies scaled by 1 + 1e-12 give candidate values closer than 2 tol but
+    not equal: such rows are re-ranked and keep the exact order."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(300, 3))
+    x = np.vstack([base, base[:100] * (1.0 + 1e-12)])
+    queries = np.vstack([rng.normal(size=(60, 3)), base[:20] + 1e-3])
+    fn, want = _knn(kernel, x, queries, 12)
+    got, reranked, _ = _paths(monkeypatch, fn)
+    np.testing.assert_array_equal(got, want)
+    near = _near_tied_rows(kernel, x, queries, 12)
+    assert reranked == near > 0
+    # no row's 13 nearest values tie exactly: no tie rule decides their order
+    assert (np.diff(_ranked_d2(kernel, x, queries)[:, :13], axis=1) > 0).all()
+
+
 def test_feature_knn_paths_agree():
     rng = np.random.default_rng(1)
     feats = np.ascontiguousarray(rng.normal(size=(250, 5)))
@@ -185,13 +275,17 @@ def test_feature_knn_boundaries(monkeypatch):
 
 @st.composite
 def _tie_heavy(draw):
-    """Small integer-valued matrices drawn from a few distinct rows, and a k."""
+    """Small integer-valued matrices drawn from a few distinct rows, some float64
+    rows scaled by 1 + 1e-12 (near ties, within every tol but not equal), and a k."""
     f = draw(st.integers(1, 4))
     base = draw(st.lists(st.lists(st.integers(-3, 3), min_size=f, max_size=f),
                          min_size=1, max_size=12))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=40))
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     x = np.array(base, dtype=dtype)[picks]
+    if dtype == np.float64:
+        near = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+        x[np.array(near)] *= 1.0 + 1e-12
     return x, draw(st.integers(1, len(picks) + 2))
 
 
@@ -202,6 +296,41 @@ def test_exact_knn_kernels_match_oracles(case):
     np.testing.assert_array_equal(kernels.feature_knn(x, k), feature_knn_oracle(x, k))
     np.testing.assert_array_equal(kernels.kdtree_knn(kernels.kdtree_build(x), x, k),
                                   knn_oracle(x, x, k))
+    np.testing.assert_array_equal(kernels.map_knn(x, x, k), knn_oracle(x, x, k))
+
+
+_NOT_FINITE = "must be finite, with finite squared norms"
+
+
+def test_kdtree_knn_refuses_non_finite_rows():
+    index = cloud.SpatialIndex(np.random.default_rng(8).normal(size=(10, 3)))
+    # NaN and inf queries, and queries whose squared distances could overflow
+    # ([1e308] * 3 made the tree answer with the out-of-range index n)
+    for q in ([np.nan, 0.0, 0.0], [1e308] * 3, [0.0, -np.inf, 0.0], [1e154, 0.0, 0.0]):
+        with pytest.raises(InvalidParams, match=_NOT_FINITE):
+            index.knn(q, 3)
+    with pytest.raises(InvalidParams, match=_NOT_FINITE):
+        kernels.kdtree_build(np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 1.0]]))
+    assert index.knn([1e153, 0.0, 0.0], 3).shape == (3,)
+
+
+def test_feature_knn_refuses_non_finite_rows():
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(InvalidParams, match=_NOT_FINITE):
+            kernels.feature_knn(np.array([[0.0, 1.0], [bad, 0.0], [1.0, 1.0]]), 1)
+    with pytest.raises(InvalidParams, match=_NOT_FINITE):
+        kernels.feature_knn(np.array([[np.nan, 0.0]]), 1)  # even with no neighbor to rank
+
+
+def test_map_knn_refuses_non_finite_rows():
+    rng = np.random.default_rng(9)
+    for size in (5, 40):  # every row a candidate, and the product's candidates
+        db = rng.normal(size=(size, 4)).astype(np.float32)
+        with pytest.raises(InvalidParams, match=_NOT_FINITE):
+            kernels.map_knn(np.array([[np.nan, 0.0, 0.0, 0.0]]), db, 2)
+        db[size // 2, 1] = np.inf
+        with pytest.raises(InvalidParams, match=_NOT_FINITE):
+            kernels.map_knn(rng.normal(size=(3, 4)), db, 2)
 
 
 def test_local_stats_paths_agree():

@@ -298,16 +298,22 @@ def test_mirror_search_is_the_one_trajectory_grid(monkeypatch):
 
 
 def test_one_exact_knn():
-    # the exhaustive top-k runs only as the fallback scan of the one exact kNN
-    callers = []
+    # the exhaustive top-k runs only as the fallback scan of the one exact kNN,
+    # the candidate re-rank only inside it, and rows rank by one stable sort,
+    # never by np.lexsort
+    callers = {"_topk_rows": [], "_rerank": []}
     for name, tree in _sources():
+        for node in ast.walk(tree):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert ident != "lexsort", f"lexsort in {name} line {node.lineno}"
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
                     ident = getattr(node, "id", None) or getattr(node, "attr", None)
-                    if ident == "_topk_rows":
-                        callers.append((name, func.name))
-    assert callers == [("kernels.py", "_exact_knn")], callers
+                    if ident in callers:
+                        callers[ident].append((name, func.name))
+    assert callers == {"_topk_rows": [("kernels.py", "_exact_knn")],
+                       "_rerank": [("kernels.py", "_exact_knn")]}, callers
 
 
 def test_only_kernels_compute_squared_distances():
