@@ -463,43 +463,43 @@ def load_clusters(path, pmap: PlaceMap):
     across clusters, and contain their keyframe, and the centers must have
     the map's dimension; anything else raises FormatError.
     """
-    r = fileio.Reader(path, _LPDC_MAGIC, _LPDC_VERSION)
-    kk, d_thresh = r.unpack("<If")
-    if kk < 1:
-        raise FormatError(f"{path}: K must be >= 1")
-    dim = pmap.dim
-    # checked before K sizes anything: a cluster takes at least its 8-byte
-    # head, one member and its center
-    need = kk * (12 + 4 * dim)
-    if need > r.remaining():
-        raise FormatError(f"{path}: truncated: K={kk} needs at least {need} bytes "
-                          f"after the header, {r.remaining()} remain")
-    keyframes = np.empty(kk, dtype=np.int64)
-    members = []
-    owned = np.zeros(len(pmap), dtype=bool)
-    for k in range(kk):
-        keyframe, count = r.unpack("<II")
-        if count == 0:
-            raise FormatError(f"{path}: cluster {k} is empty")
-        mem = r.array("<u4", count).astype(np.int64)
-        if mem.max() >= len(pmap):
-            raise FormatError(f"{path}: member index {mem.max()} outside map of {len(pmap)}")
-        if keyframe not in mem:
-            raise FormatError(f"{path}: keyframe {keyframe} not a member of cluster {k}")
-        ordered = np.sort(mem)
-        twice = ordered[1:][ordered[1:] == ordered[:-1]]
-        if twice.shape[0]:
-            raise FormatError(f"{path}: entry {twice[0]} listed twice in cluster {k}")
-        if owned[mem].any():
-            raise FormatError(f"{path}: entry {mem[owned[mem]].min()} in multiple clusters")
-        owned[mem] = True
-        keyframes[k] = keyframe
-        members.append(mem)
-    rest = r.remaining()
-    # whole centers of another width: clusters of a different map
-    if rest != 4 * kk * dim and rest % (4 * kk) == 0:
-        raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
-    centers = r.array("<f4", kk * dim).reshape(kk, dim)
-    r.end()
+    with fileio.Reader(path, _LPDC_MAGIC, _LPDC_VERSION) as r:
+        kk, d_thresh = r.unpack("<If")
+        if kk < 1:
+            raise FormatError(f"{path}: K must be >= 1")
+        dim = pmap.dim
+        # checked before K sizes anything: a cluster takes at least its 8-byte
+        # head, one member and its center
+        need = kk * (12 + 4 * dim)
+        if need > r.remaining():
+            raise FormatError(f"{path}: truncated: K={kk} needs at least {need} bytes "
+                              f"after the header, {r.remaining()} remain")
+        keyframes = np.empty(kk, dtype=np.int64)
+        members = []
+        owned = np.zeros(len(pmap), dtype=bool)
+        for k in range(kk):
+            keyframe, count = r.unpack("<II")
+            if count == 0:
+                raise FormatError(f"{path}: cluster {k} is empty")
+            mem = r.array("<u4", count).astype(np.int64)
+            if mem.max() >= len(pmap):
+                raise FormatError(f"{path}: member index {mem.max()} outside map of {len(pmap)}")
+            if keyframe not in mem:
+                raise FormatError(f"{path}: keyframe {keyframe} not a member of cluster {k}")
+            ordered = np.sort(mem)
+            twice = ordered[1:][ordered[1:] == ordered[:-1]]
+            if twice.shape[0]:
+                raise FormatError(f"{path}: entry {twice[0]} listed twice in cluster {k}")
+            if owned[mem].any():
+                raise FormatError(f"{path}: entry {mem[owned[mem]].min()} in multiple clusters")
+            owned[mem] = True
+            keyframes[k] = keyframe
+            members.append(mem)
+        rest = r.remaining()
+        # whole centers of another width: clusters of a different map
+        if rest != 4 * kk * dim and rest % (4 * kk) == 0:
+            raise FormatError(f"{path}: {rest // (4 * kk)}-d centers, map dim {dim}")
+        centers = r.array("<f4", kk * dim).reshape(kk, dim)
+        r.end()
     skf = SuperKeyframes(centers, keyframes, members, pmap.descriptor_matrix())
     return skf, float(d_thresh)

@@ -7,11 +7,14 @@ The network maps a normalized submap plus its per-point features to a
     -> shared per-point MLP -> graph aggregation over feature-space kNN
     -> shared MLP -> NetVLAD pooling -> projection -> L2 normalize
 
-Inference runs in float32; the NetVLAD accumulation runs in float64 so
-that permutations of the input rows perturb the output far below test
-tolerances.  There is no training here: weights come from a file or from
-a seeded random initializer, and a weight-free histogram baseline covers
-pipeline tests.  Descriptors are plain float32 numpy vectors.
+Inference runs in float32; the NetVLAD accumulation and projection run
+in float64 so that permutations of the input rows perturb the output far
+below test tolerances.  There is no training here: weights come from a
+file or from a seeded random initializer, and a weight-free histogram
+baseline covers pipeline tests.  Each tensor is held once, in the form the
+forward pass reads: the NetVLAD projection (``vlad.proj.w``, 65,536 x 256
+at the default widths) in float64 alone, the rest in float32.
+Descriptors are plain float32 numpy vectors.
 """
 
 import math
@@ -37,6 +40,9 @@ _LPDW_VERSION = 1
 # single-row product goes through GEMV and may not, and even splitting leaves
 # every block at least two rows whenever the whole has.
 _EDGE_BLOCK_ROWS = 64
+# tensors the forward pass reads in float64: load_weights widens them as it
+# reads, so their float32 form is never held whole
+_FLOAT64_TENSORS = ("vlad.proj.w",)
 
 
 @dataclass(frozen=True)
@@ -97,48 +103,67 @@ def expected_shapes(config: NetConfig) -> dict:
 
 
 class WeightSet:
-    """Named float32 tensors; immutable once constructed and safe to share."""
+    """Named tensors, each held once; immutable once constructed and safe to share.
+
+    A tensor is held in float32 until ``float64`` first asks for it; from
+    then on it is held in float64 alone.  ``load_weights`` hands the
+    tensors the forward pass reads in float64 (the NetVLAD projection) over
+    already widened, so a loaded set widens nothing.  ``ws[name]`` is float32
+    either way: for a tensor held in float64 it is an exact narrowed copy.
+    """
 
     def __init__(self, tensors: dict):
-        self._tensors = {name: np.asarray(t, dtype=np.float32, order="C")
-                         for name, t in tensors.items()}
-        self._f64 = {}
+        self._held = {name: np.asarray(t, dtype=np.float32, order="C")
+                      for name, t in tensors.items()}
         self._f64_lock = threading.Lock()
 
-    def float64(self, name: str) -> np.ndarray:
-        """Read-only float64 copy of one tensor, converted on first use and then shared."""
-        # the lock keeps concurrent describe threads from each converting
-        # the same (possibly 134 MB) tensor
-        with self._f64_lock:
-            out = self._f64.get(name)
-            if out is None:
-                out = self[name].astype(np.float64)
-                out.flags.writeable = False
-                self._f64[name] = out
-        return out
+    @classmethod
+    def _of_held(cls, held: dict) -> "WeightSet":
+        """A set over ``held`` as it is: float32 arrays, and read-only float64
+        arrays whose values are float32 values."""
+        ws = cls({})
+        ws._held = held
+        return ws
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def _get(self, name: str) -> np.ndarray:
         try:
-            return self._tensors[name]
+            return self._held[name]
         except KeyError:
             raise ShapeError(f"missing tensor '{name}'") from None
 
+    def float64(self, name: str) -> np.ndarray:
+        """The read-only float64 form of one tensor, widened on first use and then shared."""
+        out = self._get(name)
+        if out.dtype != np.float64:
+            # the lock keeps concurrent describe threads from each widening
+            # the same (possibly 134 MB) tensor
+            with self._f64_lock:
+                out = self._held[name]
+                if out.dtype != np.float64:
+                    out = out.astype(np.float64)
+                    out.flags.writeable = False
+                    self._held[name] = out
+        return out
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        t = self._get(name)
+        return t.astype(np.float32) if t.dtype == np.float64 else t
+
     def names(self):
-        return list(self._tensors)
+        return list(self._held)
 
     def items(self):
-        return self._tensors.items()
+        """(name, float32 tensor) pairs in canonical order, each narrowed only when reached."""
+        return ((name, self[name]) for name in self.names())
 
     def validate(self, config: NetConfig) -> None:
         """Raise ShapeError unless the tensor names and shapes match ``config`` exactly."""
         want = expected_shapes(config)
         for name, shape in want.items():
-            if name not in self._tensors:
-                raise ShapeError(f"missing tensor '{name}'")
-            got = self._tensors[name].shape
+            got = self._get(name).shape
             if tuple(got) != tuple(shape):
                 raise ShapeError(f"tensor '{name}' has shape {tuple(got)}, expected {tuple(shape)}")
-        for name in self._tensors:
+        for name in self._held:
             if name not in want:
                 raise ShapeError(f"unexpected tensor '{name}'")
 
@@ -151,27 +176,35 @@ def save_weights(ws: WeightSet, path) -> None:
             raw = name.encode("utf-8")
             fh.write(struct.pack(f"<H{len(raw)}sB{tensor.ndim}I", len(raw), raw,
                                  tensor.ndim, *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 def load_weights(path, config: NetConfig = None) -> WeightSet:
-    """Read an LPDW file; validates shapes against ``config`` when given."""
-    r = fileio.Reader(path, _LPDW_MAGIC, _LPDW_VERSION)
-    (count,) = r.unpack("<I")
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.text(name_len)
-        if name in tensors:
-            raise FormatError(f"{path}: duplicate tensor '{name}'")
-        (rank,) = r.unpack("<B")
-        dims = r.unpack(f"<{rank}I")
-        try:
-            tensors[name] = r.array("<f4", math.prod(dims)).reshape(dims)
-        except ValueError:  # an empty tensor whose other dims numpy cannot hold
-            raise FormatError(f"{path}: tensor '{name}' has unsupported shape {dims}") from None
-    r.end()
-    ws = WeightSet(tensors)
+    """Read an LPDW file; validates shapes against ``config`` when given.
+
+    The tensors the forward pass reads in float64 are widened from the file
+    a chunk at a time, so the set holds each tensor once and no whole float32
+    copy of the projection exists at any point.
+    """
+    with fileio.Reader(path, _LPDW_MAGIC, _LPDW_VERSION) as r:
+        (count,) = r.unpack("<I")
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            name = r.text(name_len)
+            if name in tensors:
+                raise FormatError(f"{path}: duplicate tensor '{name}'")
+            (rank,) = r.unpack("<B")
+            dims = r.unpack(f"<{rank}I")
+            wide = np.float64 if name in _FLOAT64_TENSORS else None
+            try:
+                tensors[name] = r.array("<f4", math.prod(dims), wide).reshape(dims)
+            except ValueError:  # an empty tensor whose other dims numpy cannot hold
+                raise FormatError(f"{path}: tensor '{name}' has unsupported shape {dims}") from None
+            if wide:
+                tensors[name].flags.writeable = False
+        r.end()
+    ws = WeightSet._of_held(tensors)
     if config is not None:
         ws.validate(config)
     return ws
@@ -200,18 +233,24 @@ def random_weights(config: NetConfig, seed: int) -> WeightSet:
     return WeightSet(tensors)
 
 
-def _dense(x: np.ndarray, ws: WeightSet, name: str, relu: bool = True) -> np.ndarray:
+def _dense(x: np.ndarray, ws: WeightSet, name: str, relu: bool = True,
+           out: np.ndarray = None) -> np.ndarray:
+    """One layer, x @ w + b then ReLU, written in place into ``out`` when given."""
     w = ws[f"{name}.w"]
     b = ws[f"{name}.b"]
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"tensor '{name}.w' expects input width {w.shape[0]}, got {x.shape[-1]}")
-    out = x @ w + b
-    return np.maximum(out, np.float32(0.0)) if relu else out
+    out = np.matmul(x, w, out=out)
+    out += b
+    if relu:
+        np.maximum(out, np.float32(0.0), out=out)
+    return out
 
 
-def _mlp(x: np.ndarray, ws: WeightSet, prefix: str, n_layers: int) -> np.ndarray:
+def _mlp(x: np.ndarray, ws: WeightSet, prefix: str, n_layers: int, outs=None) -> np.ndarray:
+    """``n_layers`` dense layers; layer i writes into ``outs[i]`` when given."""
     for i in range(n_layers):
-        x = _dense(x, ws, f"{prefix}.{i}")
+        x = _dense(x, ws, f"{prefix}.{i}", out=None if outs is None else outs[i])
     return x
 
 
@@ -264,16 +303,22 @@ def graph_aggregate(feats: np.ndarray, k_graph: int, ws: WeightSet,
     # time, in one reused buffer; without neighbors its difference part stays 0
     n_blocks = -(-n // _EDGE_BLOCK_ROWS)
     cuts = [i * n // n_blocks for i in range(n_blocks + 1)]
-    edges = np.zeros((-(-n // n_blocks), max(kk, 1), 2 * f), dtype=np.float32)
-    pooled = []
+    k = max(kk, 1)
+    edges = np.zeros((-(-n // n_blocks), k, 2 * f), dtype=np.float32)
+    # each layer writes into one buffer reused by every block
+    n_layers = len(config.edge_mlp)
+    acts = [np.empty((edges.shape[0] * k, ws[f"edge.{i}.w"].shape[1]), dtype=np.float32)
+            for i in range(n_layers)]
+    pooled = np.empty((n, acts[-1].shape[1]), dtype=np.float32)
     for s, e in zip(cuts[:-1], cuts[1:]):
         blk = edges[:e - s]
         blk[:, :, :f] = x[s:e, None, :]
         if kk:
             np.subtract(x[s:e, None, :], x[nbr[s:e]], out=blk[:, :, f:])
-        h = _mlp(blk.reshape(-1, 2 * f), ws, "edge", len(config.edge_mlp))
-        pooled.append(h.reshape(e - s, blk.shape[1], -1).max(axis=1))
-    return np.concatenate(pooled)
+        rows = (e - s) * k
+        h = _mlp(blk.reshape(rows, 2 * f), ws, "edge", n_layers, [a[:rows] for a in acts])
+        h.reshape(e - s, k, -1).max(axis=1, out=pooled[s:e])
+    return pooled
 
 
 def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -> np.ndarray:
@@ -298,11 +343,11 @@ def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -
     nonzero = norms > 0.0
     vlad[nonzero] /= norms[nonzero, None]
     flat = vlad.ravel()
-    proj_w = ws["vlad.proj.w"]
+    proj_w = ws.float64("vlad.proj.w")
     if flat.shape[0] != proj_w.shape[0]:
         raise ShapeError(f"tensor 'vlad.proj.w' expects input width {proj_w.shape[0]}, "
                          f"got {flat.shape[0]}")
-    out = flat @ ws.float64("vlad.proj.w") + ws["vlad.proj.b"].astype(np.float64)
+    out = flat @ proj_w + ws["vlad.proj.b"].astype(np.float64)
     norm = float(np.linalg.norm(out))
     if norm == 0.0:
         raise NormError("projection produced a zero vector")

@@ -187,13 +187,13 @@ def save(pmap: PlaceMap, path) -> None:
 def load(path) -> PlaceMap:
     """Read an LPDM file written by ``save``; any malformed byte raises FormatError.
     All rows are checked at once by the rules of ``PlaceMap.insert``."""
-    r = fileio.Reader(path, _LPDM_MAGIC, _LPDM_VERSION)
-    dim, count = r.unpack("<IQ")
-    # an empty map is saved with dim 0; a dim wider than the file is truncation
-    if (dim > 0) != (count > 0) or 4 * dim > r.remaining():
-        raise FormatError(f"{path}: dim {dim} does not fit {count} entries")
-    rows = r.array(_entry_dtype(dim), count)
-    r.end()
+    with fileio.Reader(path, _LPDM_MAGIC, _LPDM_VERSION) as r:
+        dim, count = r.unpack("<IQ")
+        # an empty map is saved with dim 0; a dim wider than the file is truncation
+        if (dim > 0) != (count > 0) or 4 * dim > r.remaining():
+            raise FormatError(f"{path}: dim {dim} does not fit {count} entries")
+        rows = r.array(_entry_dtype(dim), count)
+        r.end()
     pmap = PlaceMap()
     try:
         pmap._append(rows["id"], rows["pose"], rows["desc"])

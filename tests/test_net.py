@@ -1,11 +1,12 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqlpd import cloud, kernels, net
+from seqlpd import cloud, fileio, kernels, net
 from seqlpd.errors import EmptyInput, FormatError, NormError, ShapeError
 
 from oracles import quadruplet_oracle
@@ -182,6 +183,7 @@ def test_netvlad_unit_norm_and_dtype():
 
 def test_weightset_float64_converts_once_across_threads():
     ws = net.random_weights(SMALL, seed=8)
+    want = ws["vlad.proj.w"].copy()
     got = []
     start = threading.Barrier(8)
 
@@ -200,9 +202,57 @@ def test_weightset_float64_converts_once_across_threads():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads) and len(got) == 8
-    assert all(a is got[0] for a in got)  # one shared conversion, no duplicate
-    np.testing.assert_array_equal(got[0], ws["vlad.proj.w"].astype(np.float64))
+    assert all(a is got[0] for a in got)  # one shared widening, no duplicate
+    np.testing.assert_array_equal(got[0], want.astype(np.float64))
     assert not got[0].flags.writeable
+    # the float32 form is dropped: each read narrows the held float64 afresh
+    narrowed = ws["vlad.proj.w"]
+    assert narrowed.dtype == np.float32 and narrowed is not ws["vlad.proj.w"]
+    assert narrowed.tobytes() == want.tobytes()
+    assert ws.names() == list(net.expected_shapes(SMALL))
+
+
+def test_loaded_weightset_widens_nothing(tmp_path):
+    path = tmp_path / "w.lpdw"
+    net.save_weights(net.random_weights(SMALL, seed=8), path)
+    loaded = net.load_weights(path, SMALL)
+    tracemalloc.start()
+    try:
+        wide = loaded.float64("vlad.proj.w")
+        again = loaded.float64("vlad.proj.w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 and again is wide and not wide.flags.writeable
+    assert wide.tobytes() == loaded["vlad.proj.w"].astype(np.float64).tobytes()
+
+
+def test_load_weights_holds_each_tensor_once(tmp_path, monkeypatch):
+    """The loaded set, the projection widened for the forward pass, never
+    costs more than its own tensors plus one read chunk: no whole-file blob
+    and no float32 copy of the projection."""
+    chunk = 1 << 16
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", chunk)
+    config = net.NetConfig(vlad_clusters=64, post_mlp=(64,), descriptor_dim=64)
+    ws = net.random_weights(config, seed=9)
+    proj = ws["vlad.proj.w"]
+    assert proj.nbytes >= 4 * chunk
+    rest = sum(t.nbytes for name, t in ws.items() if name != "vlad.proj.w")
+    path = tmp_path / "w.lpdw"
+    net.save_weights(ws, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = net.load_weights(path, config)
+        wide = loaded.float64("vlad.proj.w")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * proj.nbytes + rest + chunk + (64 << 10)
+    assert wide.tobytes() == proj.astype(np.float64).tobytes()
+    again = tmp_path / "again.lpdw"
+    net.save_weights(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_netvlad_zero_projection_guard():

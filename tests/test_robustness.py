@@ -3,8 +3,11 @@ one-of-each structure (one file boundary, one worker pool, one selector)."""
 
 import ast
 import contextlib
+import gc
 import io
 import os
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqlpd
-from seqlpd import cli, cluster, net, placemap, seqmatch
+from seqlpd import cli, cluster, fileio, net, placemap, seqmatch
 from seqlpd.cloud import Pose
 from seqlpd.errors import FormatError
 
@@ -165,20 +168,90 @@ _MATCH = ["match", "m.lpdm", "m.lpdc", os.path.join("c", "query"), "--baseline",
 @example(argv=_MATCH + ["--W", "1", "--v-step", "1e-300"])
 @example(argv=_MATCH + ["--W", "1", "--v-step", "5e-324"])
 def test_hostile_flags_give_exit_0_or_one_error_line(small_corpus, argv):
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(small_corpus)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        os.chdir(cwd)
-    text = err.getvalue()
+    code, _, text = _run_cli(small_corpus, argv)
     if code == 0:
         assert text == ""
     else:
         assert code in (1, 2)
         assert text.count("\n") == 1 and text.startswith("E:"), text
+
+
+def _run_cli(root, argv) -> tuple:
+    """(exit code, stdout, stderr) of one CLI command run in ``root``, which
+    must leave no file open (no ResourceWarning)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            gc.collect()
+    finally:
+        os.chdir(cwd)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _streamed_error(small_corpus, argv) -> str:
+    """The one ``E:`` line of argv run in the fuzz corpus, which must fail with
+    nothing on stdout and no file left open."""
+    code, out, err = _run_cli(small_corpus, argv)
+    assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("E:")
+    return err
+
+
+_DESCRIBE = ["describe", os.path.join("c", "map"), "-o", "d.lpdm", "--n-sub", "32",
+             "--k-local", "4", "--weights", "bad.lpdw"]
+
+
+def _projection_file(path) -> tuple:
+    """An LPDW file whose 40 x 4 ``vlad.proj.w`` spans ten 64-byte chunks, between
+    two other tensors: (its bytes, the byte its projection payload starts at)."""
+    ws = net.WeightSet({"vlad.centers": np.ones((2, 3)), "vlad.proj.w":
+                        np.linspace(-1.0, 1.0, 160).reshape(40, 4), "vlad.proj.b": np.ones(4)})
+    net.save_weights(ws, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name = b"vlad.proj.w"
+    return blob, blob.index(name + bytes([2])) + len(name) + 1 + 8
+
+
+@pytest.mark.parametrize("case", ["truncated", "nan_first", "nan_last"])
+def test_streamed_lpdw_fault_is_one_error_line(small_corpus, monkeypatch, case):
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", 64)
+    path = os.path.join(small_corpus, "bad.lpdw")
+    blob, start = _projection_file(path)
+    if case == "truncated":
+        bad, want = blob[:start + 300], f"truncated at byte {start}"
+    else:
+        at = start if case == "nan_first" else start + 159 * 4
+        bad = blob[:at] + np.array([np.nan], dtype="<f4").tobytes() + blob[at + 4:]
+        want = f"non-finite value in the 160 items at byte {start}"
+    with open(path, "wb") as fh:
+        fh.write(bad)
+    assert _streamed_error(small_corpus, _DESCRIBE) == f"E:FormatError:bad.lpdw: {want}\n"
+
+
+def test_streamed_map_and_clusters_truncated_mid_array(small_corpus):
+    with open(os.path.join(small_corpus, "m.lpdm"), "rb") as fh:
+        lpdm = fh.read()
+    with open(os.path.join(small_corpus, "m.lpdc"), "rb") as fh:
+        lpdc = fh.read()
+    with open(os.path.join(small_corpus, "bad.lpdm"), "wb") as fh:
+        fh.write(lpdm[:-7])
+    # the rows start after the 8-byte head, the u32 dim and the u64 count
+    assert _streamed_error(small_corpus, ["cluster", "bad.lpdm", "-o", "d.lpdc", "--D", "2"]) \
+        == "E:FormatError:bad.lpdm: truncated at byte 20\n"
+    k = struct.unpack_from("<I", lpdc, 8)[0]
+    centers = len(lpdc) - 4 * k * placemap.load(os.path.join(small_corpus, "m.lpdm")).dim
+    with open(os.path.join(small_corpus, "bad.lpdc"), "wb") as fh:
+        fh.write(lpdc[:-3])
+    argv = ["match", "m.lpdm", "bad.lpdc", os.path.join("c", "query"), "--baseline",
+            "--n-sub", "32", "--k-local", "4"]
+    assert _streamed_error(small_corpus, argv) \
+        == f"E:FormatError:bad.lpdc: truncated at byte {centers}\n"
 
 
 def _sources():
@@ -188,11 +261,17 @@ def _sources():
                 yield name, ast.parse(fh.read())
 
 
+_OS_FILE_CALLS = {"open", "read", "pread", "preadv"}
+
+
 def test_one_file_boundary_and_one_pool():
     for name, tree in _sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id != "open" or name == "fileio.py", f"open() in {name}"
+            if isinstance(node, ast.Attribute) and (node.attr == "readinto" or (
+                    node.attr in _OS_FILE_CALLS and getattr(node.value, "id", None) == "os")):
+                assert name == "fileio.py", f".{node.attr} in {name}"
             ident = getattr(node, "id", None) or getattr(node, "attr", None) \
                 or getattr(node, "name", None)
             if ident == "ThreadPoolExecutor":
