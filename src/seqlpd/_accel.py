@@ -1,10 +1,11 @@
 """The package's one worker pool: its sizing and the shared-list job runner.
 
-``SEQLPD_THREADS`` sizes the pool that runs the frames of ``describe`` and
-the seeded restarts of the elbow clustering; clustering further caps it at
-the usable CPUs and stays serial for small maps, whose jobs are too short to
-gain from threads.  No worker count changes a result or the error raised.
-No other module of the package starts a thread.
+``thread_count`` sizes the pool that runs the frames of ``describe`` and the
+seeded restarts of the elbow clustering: the CPUs this process may run on,
+capped by ``SEQLPD_THREADS`` when that is set.  Clustering stays serial for
+small maps, whose jobs are too short to gain from threads.  No worker count
+changes a result or the error raised.  No other module of the package
+starts a thread.
 """
 
 import itertools
@@ -13,16 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
-    """Worker count for batch jobs: SEQLPD_THREADS if set and positive, else cpu count."""
-    raw = os.environ.get("SEQLPD_THREADS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
+    """Worker count for batch jobs: the usable CPUs, capped by SEQLPD_THREADS
+    when that is set and positive."""
+    try:
+        cap = int(os.environ.get("SEQLPD_THREADS", ""))
+    except ValueError:
+        cap = 0
+    return min(usable_cpus(), cap) if cap > 0 else usable_cpus()
 
 
 def usable_cpus() -> int:

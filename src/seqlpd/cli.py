@@ -38,6 +38,8 @@ def _one_line(text: str) -> str:
 
 
 def _list_frames(input_dir) -> list:
+    """(frame id, name) per frame file, in frame order: a numeric stem is the id, any
+    other its index in name order (numeric order if all are); ids must increase."""
     try:
         names = sorted(os.listdir(input_dir))
     except OSError as exc:
@@ -47,10 +49,14 @@ def _list_frames(input_dir) -> list:
     if not frames:
         raise EmptyInput(f"no .bin or .csv frames in {input_dir}")
     stems = [n.rsplit(".", 1)[0] for n in frames]
+    pairs = [(int(s) if s.isdecimal() else i, n) for i, (s, n) in enumerate(zip(stems, frames))]
     if all(stem.isdecimal() for stem in stems):
-        # frame ids in numeric order, so "10.bin" follows "2.bin"
-        frames = [n for _, n in sorted(zip(map(int, stems), frames))]
-    return frames
+        pairs.sort()  # numeric order, so "10.bin" follows "2.bin"
+    for (a, name_a), (b, name_b) in zip(pairs, pairs[1:]):
+        if b <= a:
+            raise FormatError(f"{input_dir}: frame id {b} of {name_b} not greater than "
+                              f"{a} of {name_a}")
+    return pairs
 
 
 def _load_poses(input_dir):
@@ -85,19 +91,14 @@ def _describe_dir(input_dir, cfg: config_mod.Config, model):
     ``model`` is None for the baseline descriptor, else (weights, NetConfig)
     from :func:`_load_net`.  Returns (frame_ids, poses, descriptors, stats)
     where stats holds (point_count, seconds) per frame.  Frames are jobs of
-    ``run_jobs``, capped by SEQLPD_THREADS; each frame is independent, so any
+    ``run_jobs`` on ``thread_count()`` workers; each frame is independent, so any
     worker count yields identical descriptors.
     """
-    names = _list_frames(input_dir)
+    frames = _list_frames(input_dir)
     pose_table = _load_poses(input_dir)
-    clouds, ids = [], []
-    for i, name in enumerate(names):
-        path = os.path.join(input_dir, name)
-        stem = name.rsplit(".", 1)[0]
-        fid = int(stem) if stem.isdecimal() else i
-        pc = load_kitti_bin(path, fid) if name.endswith(".bin") else load_csv(path, fid)
-        clouds.append(pc)
-        ids.append(fid)
+    ids = [fid for fid, _ in frames]
+    clouds = [(load_kitti_bin if name.endswith(".bin") else load_csv)(
+        os.path.join(input_dir, name), fid) for fid, name in frames]
     if pose_table is not None:
         for fid in ids:
             if fid not in pose_table:

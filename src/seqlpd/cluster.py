@@ -12,7 +12,7 @@ step so equal seeds give bitwise-equal results.
 In the elbow sweep, each K is an independent job: three seeded restarts,
 reduced in restart order with a strict ``<``.  On maps of at least
 ``_POOL_MIN_SIZE`` matrix elements (about 1,024 rows at d = 256) the jobs
-run on a pool of ``min(SEQLPD_THREADS, usable CPUs)`` threads; smaller maps
+run on a pool of ``_accel.thread_count()`` threads; smaller maps
 run them serially, since their jobs are too short to gain from threads.
 The chosen clustering does not depend on the worker count.  The exact
 distance passes run in cache-sized row blocks; each row's value is the same
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio, kernels
-from ._accel import run_jobs, thread_count, usable_cpus
+from ._accel import run_jobs, thread_count
 from .errors import (EmptyInput, FormatError, InvalidCluster, InvalidK, InvalidParams,
                      ShapeError)
 from .placemap import PlaceMap
@@ -180,6 +180,8 @@ def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
     buf = np.empty(n)
     for _ in range(1, k):
         total = float(d2.sum())
+        if total == np.inf:
+            raise InvalidParams("descriptor rows too far apart: seeding weights overflow")
         if total > 0.0:
             j = _choice(rng, np.divide(d2, total, out=buf))
         else:
@@ -234,8 +236,9 @@ def _settled_argmin(x: np.ndarray, sqx: np.ndarray, rows: np.ndarray, centers: n
 def _bounded_assign(x: np.ndarray, sqx: np.ndarray, centers: np.ndarray, shift: np.ndarray,
                     assign: np.ndarray, d2: np.ndarray, lo: np.ndarray,
                     slack: float) -> np.ndarray:
-    """``kernels.nearest_center(x, centers, sqx)``, computing the product only
-    for the rows the bounds leave open, and updating ``lo`` in place.
+    """The argmin of the full ``kernels.center_approx(x, centers, sqx)`` product,
+    computing the product only for the rows the bounds leave open, and
+    updating ``lo`` in place.
 
     ``d2`` holds each row's exact squared distance to its own center
     ``centers[assign]``, ``lo`` a lower bound on its distance to every other
@@ -268,7 +271,8 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
     An empty cluster is repaired by re-seeding its center at the point
     farthest from its own center (each repair consumes its point).  Raises
     InvalidK unless 1 <= K <= N, and InvalidParams on a row that is not
-    finite or whose squared norm overflows.
+    finite or whose squared norm overflows, or on rows so far apart that the
+    sum of their seeding weights overflows.
     """
     x = np.ascontiguousarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -282,14 +286,12 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
     if not np.isfinite(sqx).all():
         raise InvalidParams("descriptor rows must be finite, with finite squared norms")
     centers = _seed_centers(x, K, rng, sqx)
+    assign, d2, second = kernels.kmeans_assign(x, centers, sqx)
     # lo[i]: a lower bound on row i's distance to every center but its own
     lo = None
     if K > 1 and x.size >= _POOL_MIN_SIZE:
         slack = kernels.approx_slack(sqx)
-        assign, d2, second = kernels.kmeans_assign(x, centers, sqx, second=True)
         lo = np.sqrt(np.maximum(second - slack, 0.0))
-    else:
-        assign, d2 = kernels.kmeans_assign(x, centers, sqx)
     history = [float(d2.sum())]
     # is_mean[k]: center k is the mean of cluster k's current members
     is_mean = np.zeros(K, dtype=bool)
@@ -314,7 +316,7 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
                 pool[j] = -1.0
         moved = (new_centers != centers).any(axis=1)
         if lo is None:
-            new_assign = kernels.nearest_center(x, new_centers, sqx)
+            new_assign = np.argmin(kernels.center_approx(x, new_centers, sqx), axis=1)
             redo = moved[new_assign]
         else:
             # the distance to the row's own moved center bounds its nearest from above
@@ -367,7 +369,7 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     # one job per K, largest first, so the longest jobs do not finish last
     # on one thread; a job keeps only its best restart
     ks = list(range(k_max, 0, -1))
-    workers = min(thread_count(), usable_cpus()) if x.size >= _POOL_MIN_SIZE else 1
+    workers = thread_count() if x.size >= _POOL_MIN_SIZE else 1
     runs = dict(zip(ks, run_jobs(lambda k: _best_of_restarts(x, k, params), ks, workers)))
     j_curve = tuple(runs[k].distortion for k in range(1, k_max + 1))
 

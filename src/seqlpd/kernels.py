@@ -334,16 +334,6 @@ def two_smallest(approx: np.ndarray):
     return best, lowest, approx.min(axis=1)
 
 
-def nearest_center(x: np.ndarray, centers: np.ndarray, sqx: np.ndarray) -> np.ndarray:
-    """Nearest center per row by approximate squared distances, ties to the lower id.
-
-    The distances come from one full :func:`center_approx` product: a product
-    over a subset of the columns may round differently (a single column goes
-    through GEMV), so its argmin could break a tie another way.
-    """
-    return np.argmin(center_approx(x, centers, sqx), axis=1)
-
-
 def _blocked_d2(x, centers, assign, rows, reduce) -> np.ndarray:
     """Squared distance of each row of ``x``, or of each of ``rows``, to
     ``centers[assign[row]]``, or to the one point ``centers`` when ``assign`` is None.
@@ -407,20 +397,20 @@ def sum_d2(x: np.ndarray, centers: np.ndarray, assign=None, rows=None) -> np.nda
     return _blocked_d2(x, centers, assign, rows, _square_sum_rows)
 
 
-def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None, second=False):
-    """Nearest-center assignment (ties to the lower cluster id) and exact squared distances.
+def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
+    """Nearest center per row (ties to the lower cluster id), its exact squared
+    distance, and the row's second-smallest approximate value.
 
-    ``sqx`` is ``einsum("nd,nd->n", x, x)`` of the float64 ``x``, for callers
-    that assign the same rows many times; it is computed when omitted.  With
-    ``second``, each row's second-smallest approximate value comes third.
+    The nearest center is the argmin of one full :func:`center_approx`
+    product: a product over a subset of the columns may round differently (a
+    single column goes through GEMV), so its argmin could break a tie another
+    way.  ``sqx`` is ``einsum("nd,nd->n", x, x)`` of the float64 ``x``, for
+    callers that assign the same rows many times; it is computed when omitted.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if sqx is None:
         sqx = np.einsum("nd,nd->n", x, x)
-    if not second:
-        assign = nearest_center(x, centers, sqx)
-        return assign, center_d2(x, centers, assign)
     assign, _, runner_up = two_smallest(center_approx(x, centers, sqx))
     return assign, center_d2(x, centers, assign), runner_up
 
@@ -446,9 +436,9 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray, runs=None):
     scanned in ascending index order and replaced only on strictly smaller
     scores, so ties resolve to the lower velocity.
 
-    ``runs``, when given, is a pair (first, last): the columns are runs side
-    by side, column ``c`` in run ``[first[c], last[c])``, and each column
-    scores as it would in a call on its run alone.
+    ``runs`` is a pair (first, last): the columns are runs side by side,
+    column ``c`` in run ``[first[c], last[c])``, and each column scores as it
+    would in a call on its run alone.  None means one run, ``(0, cols)``.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -458,10 +448,11 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray, runs=None):
     w = offsets.shape[1]
     best = np.full(cols, np.inf, dtype=np.float64)
     best_v = np.full(cols, -1, dtype=np.int64)
-    if runs is not None:
-        # columns a trajectory may reach back from, and forward of, each end column
-        back = np.arange(cols) - np.asarray(runs[0], dtype=np.int64)
-        ahead = np.asarray(runs[1], dtype=np.int64) - 1 - np.arange(cols)
+    if runs is None:
+        runs = (0, cols)
+    # columns a trajectory may reach back from, and forward of, each end column
+    back = np.arange(cols) - np.asarray(runs[0], dtype=np.int64)
+    ahead = np.asarray(runs[1], dtype=np.int64) - 1 - np.arange(cols)
     for vi, off in enumerate(offsets.tolist()):
         omax, omin = max(off), min(off)
         lo, hi = max(omax, 0), cols + min(omin, 0)
@@ -471,11 +462,7 @@ def trajectory_grid(m: np.ndarray, offsets: np.ndarray, runs=None):
         for t in range(w):
             acc += m[rows - 1 - t, lo - off[t]: hi - off[t]]
         acc /= w
-        upd = acc < best[lo:hi]
-        if runs is not None:
-            upd &= back[lo:hi] >= omax
-            if omin < 0:
-                upd &= ahead[lo:hi] >= -omin
+        upd = (acc < best[lo:hi]) & (back[lo:hi] >= omax) & (ahead[lo:hi] >= -omin)
         best[lo:hi][upd] = acc[upd]
         best_v[lo:hi][upd] = vi
     return best, best_v

@@ -3,15 +3,15 @@
 Entries are appended in frame order and that order is the source of truth
 for sequence matching; poses ride along for ground-truth evaluation only.
 
-The map is three contiguous columns, grown by doubling: int64 frame ids,
-(n, 3) float64 poses and (n, dim) float32 descriptors.  ``frame_ids``,
-``pose_matrix`` and ``descriptor_matrix`` return read-only views of their
-first n rows, so reading the map copies nothing.  Rows are never rewritten,
-so a view taken earlier keeps its shape and values while the map grows.
-``insert`` (one row) and ``load`` (all rows at once) append through one
-vectorized check, ``_check_rows``, so a loaded map obeys the insert rules
-and reports a bad row with the text ``insert`` gives.  The on-disk form is
-the LPDM container described in ``save``.
+The map is one array of LPDM entry records (``_entry_dtype``), grown by
+doubling: the layout ``save`` writes and ``load`` reads, so neither copies
+the map.  ``frame_ids``, ``pose_matrix`` and ``descriptor_matrix`` return
+read-only views of the first n records' fields, so reading the map copies
+nothing.  Records are never rewritten, so a view taken earlier keeps its
+shape and values while the map grows.  ``insert`` (one row) and ``load``
+(all rows at once) check rows through one vectorized check, ``_check_rows``,
+so a loaded map obeys the insert rules and reports a bad row with the text
+``insert`` gives.  The on-disk form is the LPDM container described in ``save``.
 """
 
 import struct
@@ -88,26 +88,30 @@ def _check_rows(ids, poses: np.ndarray, descs: np.ndarray, last_id, dim) -> None
     raise NormError(f"descriptor norm {norm[i]:.6f} not within {_NORM_TOL} of 1")
 
 
+def _entry_dtype(dim: int, ids: str = "<u8") -> np.dtype:
+    """One LPDM entry record; the map holds its ids as ``<i8`` (the same bytes
+    for every id a map may hold)."""
+    return np.dtype([("id", ids), ("pose", "<f8", (3,)), ("desc", "<f4", (dim,))])
+
+
 class PlaceMap:
     """Append-only map of places with strictly increasing frame ids, stored
-    as contiguous columns (see the module docstring)."""
+    as one record array (see the module docstring)."""
 
     def __init__(self):
         self._n_rows = 0
-        self._id_col = np.empty(0, dtype=np.int64)
-        self._pose_col = np.empty((0, 3), dtype=np.float64)
-        self._desc_col = np.empty((0, 0), dtype=np.float32)
+        self._rows = np.empty(0, dtype=_entry_dtype(0, "<i8"))
 
     def __len__(self) -> int:
         return self._n_rows
 
     def __getitem__(self, i: int) -> PlaceEntry:
-        """Entry i (negative counts from the end), built from the columns; its
+        """Entry i (negative counts from the end), built from its record; its
         descriptor is a read-only view of the stored row."""
         i = range(self._n_rows)[i]
-        fid = int(self._id_col[i])
-        return PlaceEntry(fid, Pose(*self._pose_col[i].tolist(), fid),
-                          _read_only(self._desc_col[i]))
+        fid = int(self._rows["id"][i])
+        return PlaceEntry(fid, Pose(*self._rows["pose"][i].tolist(), fid),
+                          _read_only(self._rows["desc"][i]))
 
     def __iter__(self):
         return (self[i] for i in range(self._n_rows))
@@ -115,7 +119,7 @@ class PlaceMap:
     @property
     def dim(self) -> int:
         """Descriptor dimension, fixed by the first insert (0 while empty)."""
-        return self._desc_col.shape[1]
+        return self._rows.dtype["desc"].shape[0]
 
     def check_dim(self, descs: np.ndarray) -> None:
         """Raise DimensionError unless the rows of ``descs`` are as wide as the map's."""
@@ -125,21 +129,16 @@ class PlaceMap:
     def _append(self, ids, poses: np.ndarray, descs: np.ndarray) -> None:
         """Check rows with ``_check_rows``, then append them."""
         n, m = self._n_rows, len(ids)
-        _check_rows(ids, poses, descs, int(self._id_col[n - 1]) if n else None,
+        _check_rows(ids, poses, descs, int(self._rows["id"][n - 1]) if n else None,
                     self.dim if n else None)
-        if n + m > self._id_col.shape[0]:
-            cap = max(n + m, 2 * self._id_col.shape[0])
-            cols = []
-            for col, rows in ((self._id_col, ids), (self._pose_col, poses),
-                              (self._desc_col, descs)):
-                grown = np.empty((cap,) + rows.shape[1:], dtype=col.dtype)
-                if n:  # an empty map's columns have no width yet
-                    grown[:n] = col[:n]
-                cols.append(grown)
-            self._id_col, self._pose_col, self._desc_col = cols
-        self._id_col[n:n + m] = ids
-        self._pose_col[n:n + m] = poses
-        self._desc_col[n:n + m] = descs
+        if n + m > self._rows.shape[0]:
+            # an empty map takes its width from the first rows
+            grown = np.empty(max(n + m, 2 * self._rows.shape[0]),
+                             dtype=_entry_dtype(descs.shape[1], "<i8"))
+            grown[:n] = self._rows[:n]
+            self._rows = grown
+        new = self._rows[n:n + m]
+        new["id"], new["pose"], new["desc"] = ids, poses, descs
         self._n_rows = n + m
 
     def insert(self, entry: PlaceEntry) -> "PlaceMap":
@@ -153,50 +152,43 @@ class PlaceMap:
 
     def descriptor_matrix(self) -> np.ndarray:
         """All descriptors as a read-only (n, dim) float32 view, not a copy."""
-        return _read_only(self._desc_col[:self._n_rows])
+        return _read_only(self._rows["desc"][:self._n_rows])
 
     def pose_matrix(self) -> np.ndarray:
         """All poses as a read-only (n, 3) float64 view."""
-        return _read_only(self._pose_col[:self._n_rows])
+        return _read_only(self._rows["pose"][:self._n_rows])
 
     def frame_ids(self) -> np.ndarray:
         """All frame ids as a read-only int64 view."""
-        return _read_only(self._id_col[:self._n_rows])
-
-
-def _entry_dtype(dim: int) -> np.dtype:
-    return np.dtype([("id", "<u8"), ("pose", "<f8", (3,)), ("desc", "<f4", (dim,))])
+        return _read_only(self._rows["id"][:self._n_rows])
 
 
 def save(pmap: PlaceMap, path) -> None:
-    """Write the LPDM container.
+    """Write the LPDM container: the map's records as they are held.
 
     Layout (little-endian): magic "LPDM", u32 version=1, u32 descriptor dim,
     u64 entry count; per entry u64 frame_id, 3 x f64 pose, dim x f32 descriptor.
     """
-    n = len(pmap)
-    rows = np.empty(n, dtype=_entry_dtype(pmap.dim))
-    rows["id"] = pmap._id_col[:n]
-    rows["pose"] = pmap._pose_col[:n]
-    rows["desc"] = pmap._desc_col[:n]
     with fileio.writing(path) as fh:
         fh.write(struct.pack("<4sIIQ", _LPDM_MAGIC, _LPDM_VERSION, pmap.dim, len(pmap)))
-        fh.write(rows)
+        fh.write(pmap._rows[:len(pmap)])
 
 
 def load(path) -> PlaceMap:
     """Read an LPDM file written by ``save``; any malformed byte raises FormatError.
-    All rows are checked at once by the rules of ``PlaceMap.insert``."""
+    All rows are checked at once by the rules of ``PlaceMap.insert``, and the
+    map keeps the records as read."""
     with fileio.Reader(path, _LPDM_MAGIC, _LPDM_VERSION) as r:
         dim, count = r.unpack("<IQ")
         # an empty map is saved with dim 0; a dim wider than the file is truncation
         if (dim > 0) != (count > 0) or 4 * dim > r.remaining():
             raise FormatError(f"{path}: dim {dim} does not fit {count} entries")
-        rows = r.array(_entry_dtype(dim), count)
+        rows = r.array(_entry_dtype(dim), count)  # u64 ids, so one >= 2^63 reads as itself
         r.end()
-    pmap = PlaceMap()
     try:
-        pmap._append(rows["id"], rows["pose"], rows["desc"])
-    except (OrderError, NormError, DimensionError, InvalidParams) as exc:
+        _check_rows(rows["id"], rows["pose"], rows["desc"], None, None)
+    except (OrderError, NormError, InvalidParams) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    pmap = PlaceMap()
+    pmap._rows, pmap._n_rows = rows.view(_entry_dtype(dim, "<i8")), count
     return pmap

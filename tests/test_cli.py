@@ -555,3 +555,55 @@ def test_non_finite_clusters_and_sigma_are_rejected(corpus, tmp_path, capsys):
         assert "non-finite" in err
     _one_error(["synth", str(tmp_path / "s"), "--scenario", "loop", "--places", "3",
                 "--points", "16", "--sigma", "nan"], capsys, "InvalidParams")
+
+
+def test_colliding_frame_ids_fail_before_any_frame_is_described(corpus, tmp_path, capsys,
+                                                                monkeypatch):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    blob = (corpus / "c" / "map" / "000000.bin").read_bytes()
+    for name in ("0.bin", "1.bin", "01.bin", "2.bin"):
+        (frames / name).write_bytes(blob)
+    (frames / "poses.csv").write_text("0,0,0,0\n1,0,0,0\n2,0,0,0\n")
+    loaded = []
+    monkeypatch.setattr(cli, "load_kitti_bin", lambda *a: loaded.append(a))
+    want = f"E:FormatError:{frames}: frame id 1 of 1.bin not greater than 1 of 01.bin\n"
+    for argv in (["describe", str(frames), "-o", str(tmp_path / "m.lpdm")],
+                 ["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"), str(frames),
+                  "--W", "2"],
+                 ["eval", str(corpus / "map.lpdm"), str(frames), "--gt-radius", "1.0"]):
+        assert _one_error(argv + DESCRIBE_FLAGS, capsys, "FormatError") == want
+    assert loaded == []
+
+
+def test_frame_directory_errors_are_one_line(corpus, tmp_path, capsys):
+    out = ["-o", str(tmp_path / "m.lpdm")] + DESCRIBE_FLAGS
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    _one_error(["describe", str(empty)] + out, capsys, "EmptyInput")
+    _one_error(["describe", str(tmp_path / "absent")] + out, capsys, "IoError")
+    frames = _two_frames(corpus, tmp_path)
+    for rows, detail in (("0,0,0\n", "poses.csv:1: expected frame_id,x,y,z"),
+                         ("0,a,0,0\n", "poses.csv:1: malformed row"),
+                         ("0,0,0,0\n", "poses.csv: missing frame 1")):
+        (frames / "poses.csv").write_text(rows)
+        assert detail in _one_error(["describe", str(frames)] + out, capsys, "FormatError")
+    csv = tmp_path / "csv"
+    csv.mkdir()
+    (csv / "0.csv").write_text("x,y,z\n0,0,0\n1,nan,0\n")
+    err = _one_error(["describe", str(csv)] + out, capsys, "FormatError")
+    assert "line 3: non-finite value" in err
+
+
+def test_stage_input_errors_are_one_line(corpus, tmp_path, capsys):
+    empty = tmp_path / "empty.lpdm"
+    placemap.save(placemap.PlaceMap(), empty)
+    _one_error(["cluster", str(empty), "-o", str(tmp_path / "m.lpdc"), "--D", "1.0"],
+               capsys, "EmptyInput")
+    frames = _two_frames(corpus, tmp_path)
+    err = _one_error(["match", str(corpus / "map.lpdm"), str(corpus / "map.lpdc"), str(frames),
+                      "--W", "5"] + DESCRIBE_FLAGS, capsys, "InsufficientHistory")
+    assert "2 query frames, need at least W=5" in err
+    err = _one_error(["eval", str(corpus / "map.lpdm"), str(corpus / "c" / "query")]
+                     + DESCRIBE_FLAGS, capsys, "InvalidParams")
+    assert "gt_radius is required" in err

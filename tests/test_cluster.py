@@ -1,3 +1,4 @@
+import os
 import struct
 import sys
 import threading
@@ -344,13 +345,36 @@ def test_elbow_k_max_at_least_n_matches_oracle(monkeypatch, threads):
 
 def test_elbow_pool_threshold_and_affinity_cap(monkeypatch):
     monkeypatch.setenv("SEQLPD_THREADS", "8")
-    monkeypatch.setattr(cluster, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_accel, "usable_cpus", lambda: 2)
     seen = _spy_workers(monkeypatch)
     params = cluster.ClusterParams(D=10.0, K_max=2)
     rng = np.random.default_rng(24)
     cluster.elbow_select(rng.normal(size=(1023, 256)), params)
     cluster.elbow_select(rng.normal(size=(1024, 256)), params)
     assert seen == [1, 2]
+
+
+def test_thread_count_is_the_usable_cpus_capped_by_the_setting(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.delenv("SEQLPD_THREADS", raising=False)
+    assert _accel.usable_cpus() == _accel.thread_count() == 1
+    monkeypatch.setenv("SEQLPD_THREADS", "8")
+    assert _accel.thread_count() == 1  # an affinity mask of one CPU caps the setting
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for raw, want in (("8", 4), ("3", 3), ("1", 1), ("0", 4), ("-2", 4), ("x", 4)):
+        monkeypatch.setenv("SEQLPD_THREADS", raw)
+        assert _accel.thread_count() == want, raw
+
+
+def test_seeding_weight_overflow_is_invalid_params():
+    x = random_unit(np.random.default_rng(0), 80, 16).astype(np.float64)
+    cluster.kmeanspp(x * 1e153, K=3, seed=0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidParams, match="seeding weights overflow"):
+            cluster.kmeanspp(x * 5e153, K=3, seed=0)
+        with pytest.raises(InvalidParams, match="seeding weights overflow"):
+            cluster.elbow_select(x * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
 
 
 def test_run_jobs_keeps_job_order_and_uses_the_caller():

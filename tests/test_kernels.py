@@ -346,7 +346,7 @@ def test_kmeans_assign_paths_agree():
     rng = np.random.default_rng(3)
     x = np.ascontiguousarray(rng.normal(size=(400, 6)))
     centers = np.ascontiguousarray(x[rng.choice(400, size=7, replace=False)])
-    assign, d2 = kernels.kmeans_assign(x, centers)
+    assign, d2, _ = kernels.kmeans_assign(x, centers)
     a_ref, d_ref = kmeans_assign_oracle(x, centers)
     np.testing.assert_array_equal(assign, a_ref)
     np.testing.assert_allclose(d2, d_ref, rtol=1e-10, atol=1e-12)
@@ -374,14 +374,14 @@ def test_blocked_distance_passes_match_unblocked_formula():
     np.testing.assert_allclose(got[:, ::97], pairwise_l2_oracle(queries, ref[::97]),
                                rtol=1e-12, atol=1e-14)
     centers = ref[rng.choice(ref.shape[0], size=9, replace=False)]
-    assign, d2 = kernels.kmeans_assign(ref, centers)
+    assign, d2, _ = kernels.kmeans_assign(ref, centers)
     diff = ref - centers[assign]
     assert d2.tobytes() == np.einsum("nd,nd->n", diff, diff).tobytes()
     a_ref, _ = kmeans_assign_oracle(ref[::7], centers)
     np.testing.assert_array_equal(assign[::7], a_ref)
     rows = np.arange(1, ref.shape[0], 2)  # 768 rows: one full block and a part
     assert kernels.center_d2(ref, centers, assign, rows).tobytes() == d2[rows].tobytes()
-    assign, d2 = kernels.kmeans_assign(np.empty((0, 256)), centers)
+    assign, d2, _ = kernels.kmeans_assign(np.empty((0, 256)), centers)
     assert assign.shape == d2.shape == (0,)
 
 

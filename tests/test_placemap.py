@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,3 +228,34 @@ def test_lpdm_out_of_range_header_and_ids_are_format_errors(tmp_path):
 def test_lpdm_missing_file(tmp_path):
     with pytest.raises(IoError):
         placemap.load(tmp_path / "absent.lpdm")
+
+
+def test_load_keeps_the_records_it_read(tmp_path):
+    # 8,000 x 256 rows: an 8.45 MB file, held once by the loaded map
+    n, dim = 8000, 256
+    rows = np.zeros(n, dtype=placemap._entry_dtype(dim))
+    rows["id"] = 3 * np.arange(n)
+    rows["desc"] = random_unit(np.random.default_rng(6), n, dim)
+    path = tmp_path / "big.lpdm"
+    path.write_bytes(struct.pack("<4sIIQ", b"LPDM", 1, dim, n) + rows.tobytes())
+    tracemalloc.start()
+    try:
+        pm = placemap.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - path.stat().st_size < 3_000_000
+    dm, ids = pm.descriptor_matrix(), pm.frame_ids()
+    assert dm.dtype == np.float32 and not dm.flags.writeable
+    assert np.shares_memory(dm, pm._rows)
+    assert ids.dtype == np.int64
+    np.testing.assert_array_equal(ids, rows["id"])
+    np.testing.assert_array_equal(dm, rows["desc"])
+    placemap.save(pm, tmp_path / "again.lpdm")
+    assert (tmp_path / "again.lpdm").read_bytes() == path.read_bytes()
+    # an id the int64 view cannot hold is reported by its u64 value
+    rows["id"][-1] = (1 << 64) - 1
+    path.write_bytes(struct.pack("<4sIIQ", b"LPDM", 1, dim, n) + rows.tobytes())
+    with pytest.raises(FormatError) as err:
+        placemap.load(path)
+    assert str(err.value) == f"{path}: frame id {(1 << 64) - 1} outside [0, 2^63)"

@@ -607,3 +607,14 @@ def test_export_csv_round_trip(tmp_path):
     seqmatch.export_csv(m, path)
     back = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(back, m, rtol=1e-9)
+
+
+def test_no_in_bounds_trajectory_is_no_valid_trajectory():
+    # v = 20 over W = 5 frames reaches back 80 columns, past a 30-frame map
+    descs = random_unit(np.random.default_rng(12), 30, 16)
+    pm = _map_from(descs)
+    params = seqmatch.MatchParams(W=5, v_min=20.0, v_max=20.0)
+    with pytest.raises(NoValidTrajectory):
+        seqmatch.detect_loop(descs[10:15], pm, _skf_for(pm), params)
+    with pytest.raises(NoValidTrajectory):
+        seqmatch.sequence_search(seqmatch.difference_matrix(descs[10:15], descs), params)
