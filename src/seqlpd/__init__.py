@@ -7,8 +7,8 @@ place map, are clustered into typical places (K-means++ / Elbow / distance
 constraint), and loop closures are found coarse-to-fine: super-keyframe
 lookup, then velocity-bounded sequence matching over a difference matrix.
 
-Hot kernels are vectorized numpy with exact tie rules; SEQLPD_THREADS caps
-worker pools.
+Hot kernels are vectorized numpy with exact tie rules; the one worker pool
+has a thread per CPU in the process's affinity mask.
 """
 
 from .cloud import (PointCloud, Pose, SpatialIndex, Submap, accumulate_submap,

@@ -1,9 +1,9 @@
 """The package's one worker pool: its sizing and the shared-list job runner.
 
 ``thread_count`` sizes the pool that runs the frames of ``describe`` and the
-seeded restarts of the elbow clustering: the CPUs this process may run on,
-capped by ``SEQLPD_THREADS`` when that is set.  Clustering stays serial for
-small maps, whose jobs are too short to gain from threads.  No worker count
+seeded restarts of the elbow clustering: one worker per CPU this process may
+run on, so ``taskset`` limits it.  Clustering stays serial for small maps,
+whose jobs are too short to gain from threads.  No worker count
 changes a result or the error raised.  No other module of the package
 starts a thread.
 """
@@ -14,17 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
-    """Worker count for batch jobs: the usable CPUs, capped by SEQLPD_THREADS
-    when that is set and positive."""
-    try:
-        cap = int(os.environ.get("SEQLPD_THREADS", ""))
-    except ValueError:
-        cap = 0
-    return min(usable_cpus(), cap) if cap > 0 else usable_cpus()
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    """Worker count for batch jobs: the CPUs this process may run on (its
+    affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -38,8 +38,8 @@ def _one_line(text: str) -> str:
 
 
 def _list_frames(input_dir) -> list:
-    """(frame id, name) per frame file, in frame order: a numeric stem is the id, any
-    other its index in name order (numeric order if all are); ids must increase."""
+    """(frame id, name) per frame file, in frame order: the stems' numbers in numeric
+    order when every stem is decimal (they must increase), else name-order indices."""
     try:
         names = sorted(os.listdir(input_dir))
     except OSError as exc:
@@ -49,9 +49,9 @@ def _list_frames(input_dir) -> list:
     if not frames:
         raise EmptyInput(f"no .bin or .csv frames in {input_dir}")
     stems = [n.rsplit(".", 1)[0] for n in frames]
-    pairs = [(int(s) if s.isdecimal() else i, n) for i, (s, n) in enumerate(zip(stems, frames))]
-    if all(stem.isdecimal() for stem in stems):
-        pairs.sort()  # numeric order, so "10.bin" follows "2.bin"
+    if not all(stem.isdecimal() for stem in stems):
+        return list(enumerate(frames))
+    pairs = sorted(zip(map(int, stems), frames))  # numeric order: "10.bin" follows "2.bin"
     for (a, name_a), (b, name_b) in zip(pairs, pairs[1:]):
         if b <= a:
             raise FormatError(f"{input_dir}: frame id {b} of {name_b} not greater than "

@@ -169,6 +169,9 @@ def _closer_rows(x: np.ndarray, sqx: np.ndarray, j: int, d2: np.ndarray, slack: 
     return (buf < d2).nonzero()[0]
 
 
+# under the row rule (kernels.sq_norms) only the weights' sum can overflow, and
+# the InvalidParams raised then reports it
+@np.errstate(over="ignore")
 def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
     """K-means++ seeding: first center uniform, the rest weighted by squared distance."""
     n = x.shape[0]
@@ -270,9 +273,9 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
 
     An empty cluster is repaired by re-seeding its center at the point
     farthest from its own center (each repair consumes its point).  Raises
-    InvalidK unless 1 <= K <= N, and InvalidParams on a row that is not
-    finite or whose squared norm overflows, or on rows so far apart that the
-    sum of their seeding weights overflows.
+    InvalidK unless 1 <= K <= N, and InvalidParams on a row that fails the
+    row rule of ``kernels.sq_norms``, or on rows so far apart that the sum of
+    their seeding weights overflows.
     """
     x = np.ascontiguousarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -282,9 +285,7 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
         raise InvalidK(f"K={K} outside [1, {n}]")
 
     rng = np.random.default_rng(seed)
-    sqx = np.einsum("nd,nd->n", x, x)
-    if not np.isfinite(sqx).all():
-        raise InvalidParams("descriptor rows must be finite, with finite squared norms")
+    sqx = kernels.sq_norms(x, "descriptor rows")
     centers = _seed_centers(x, K, rng, sqx)
     assign, d2, second = kernels.kmeans_assign(x, centers, sqx)
     # lo[i]: a lower bound on row i's distance to every center but its own

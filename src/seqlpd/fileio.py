@@ -50,7 +50,7 @@ def make_dirs(path) -> None:
         raise IoError(f"{path}: {exc}") from exc
 
 
-# bytes read per step when ``Reader.array`` widens an array: about 4 MB
+# bytes ``Reader.array`` reads and checks per step: about 4 MB
 _CHUNK_BYTES = 1 << 22
 
 
@@ -112,16 +112,16 @@ class Reader:
 
     def array(self, dtype, count: int, widen=None) -> np.ndarray:
         """A writable array of ``count`` items of ``dtype`` (plain or structured),
-        read straight from the file; every float in it must be finite.
+        read straight from the file about 4 MB at a time; every float in it
+        must be finite, and each part is checked as it is read.
 
-        With ``widen`` (a wider float dtype) the items are read about 4 MB at
-        a time and each part is widened into one array of that dtype, so no
-        whole copy in ``dtype`` is ever held.
+        With ``widen`` (a wider float dtype) each part is widened into one
+        array of that dtype, so no whole copy in ``dtype`` is ever held.
         """
         dtype = np.dtype(dtype)
         start = self._advance(dtype.itemsize * count)
         out = np.empty(count, dtype=widen or dtype)
-        step = max(count, 1) if widen is None else max(1, _CHUNK_BYTES // dtype.itemsize)
+        step = max(1, _CHUNK_BYTES // dtype.itemsize)
         part = None if widen is None else np.empty(min(step, count), dtype=dtype)
         for i in range(0, count, step):
             got = out[i:i + step] if part is None else part[:min(step, count - i)]

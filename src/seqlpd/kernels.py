@@ -32,7 +32,9 @@ squared distances are within a few ulps of the exact ones; ``tol`` is
 error is unbounded, never certifies.  The product's values are within
 :func:`approx_slack`.  The result matches an exhaustive scan bit for bit.
 The kNN kernels refuse a row that is not finite or whose squared norm could
-overflow a squared distance (``InvalidParams``).
+overflow a squared distance (``InvalidParams``).  :func:`sq_norms` owns that
+rule and is the package's one computation of row squared norms: clustering
+and sequence matching call it too.
 
 Sequence search (``seqmatch.detect_loop``) follows the same rule: one BLAS
 product, widened by :func:`approx_slack`, bounds every difference cell, one
@@ -81,15 +83,18 @@ def approx_slack(sq: np.ndarray) -> float:
     return 1e-9 * (1.0 + 2.0 * float(sq.max(initial=0.0)))
 
 
-def _check_finite(sq: np.ndarray, what: str) -> None:
-    """Raise InvalidParams unless four times every squared norm in ``sq`` is finite.
+def sq_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """Squared norm of each row of ``x`` (n, d), summed in float64; the package's
+    one row rule raises InvalidParams unless four times each one is finite.
 
     A NaN or inf row fails, and so does one whose squared norm is within a
     factor four of overflow: for the rows that pass, every squared distance
     (at most 2|a|^2 + 2|b|^2) and every approximate value stays finite.
     """
+    sq = np.einsum("nd,nd->n", x, x, dtype=np.float64)
     if not (sq <= np.finfo(np.float64).max / 4.0).all():  # NaN compares False
         raise InvalidParams(f"{what} must be finite, with finite squared norms")
+    return sq
 
 
 def kdtree_build(points: np.ndarray):
@@ -99,7 +104,7 @@ def kdtree_build(points: np.ndarray):
     from scipy.spatial import cKDTree
 
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    _check_finite(np.einsum("nd,nd->n", pts, pts), "points")
+    sq_norms(pts, "points")
     return cKDTree(pts, copy_data=True)
 
 
@@ -205,7 +210,7 @@ def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     """
     pts = tree.data
     qs = np.ascontiguousarray(queries, dtype=np.float64).reshape(-1, pts.shape[1])
-    _check_finite(np.einsum("qd,qd->q", qs, qs), "queries")
+    sq_norms(qs, "queries")
     n = pts.shape[0]
     kk = min(k, n)
     if kk == 0:
@@ -235,8 +240,7 @@ def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
     n = x.shape[0]
     kk = min(k, n - 1)
     out = np.empty((n, kk), dtype=np.int64)
-    sq = np.einsum("nf,nf->n", x, x)
-    _check_finite(sq, "feature rows")
+    sq = sq_norms(x, "feature rows")
     if kk == 0:
         return out
     npre = min(kk + _KNN_SLACK, n - 1)
@@ -267,10 +271,8 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
     """
     qs = np.ascontiguousarray(queries, dtype=np.float64)
     (nq, d), n, kk = qs.shape, pts.shape[0], min(k, pts.shape[0])
-    sqq = np.einsum("qd,qd->q", qs, qs)
-    sqp = np.einsum("nd,nd->n", pts, pts, dtype=np.float64)
-    _check_finite(sqq, "queries")
-    _check_finite(sqp, "map rows")
+    sqq = sq_norms(qs, "queries")
+    sqp = sq_norms(pts, "map rows")
     if kk + _KNN_SLACK >= n:
         return _exact_knn(qs, pts, np.tile(np.arange(n), (nq, 1)), np.inf, kk)
     slack = approx_slack(np.append(sqq, sqp))
@@ -315,7 +317,7 @@ def center_approx(x: np.ndarray, centers: np.ndarray, sqx: np.ndarray) -> np.nda
     """Approximate squared distance of every row to every center, ``sqx + |c|^2 - 2 x @ c``.
 
     ``x`` and ``centers`` are float64 and C-contiguous, and ``sqx`` is
-    ``einsum("nd,nd->n", x, x)``.  When every center is a row of the map
+    :func:`sq_norms` of ``x``.  When every center is a row of the map
     ``x`` came from or a mean of such rows, each value lies within
     ``approx_slack`` of the whole map's ``sqx`` of the exact distance.  A
     product over a subset of the rows or columns may round differently.
@@ -404,13 +406,13 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray, sqx=None):
     The nearest center is the argmin of one full :func:`center_approx`
     product: a product over a subset of the columns may round differently (a
     single column goes through GEMV), so its argmin could break a tie another
-    way.  ``sqx`` is ``einsum("nd,nd->n", x, x)`` of the float64 ``x``, for
-    callers that assign the same rows many times; it is computed when omitted.
+    way.  ``sqx`` is :func:`sq_norms` of the float64 ``x``, for callers that
+    assign the same rows many times; it is computed when omitted.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if sqx is None:
-        sqx = np.einsum("nd,nd->n", x, x)
+        sqx = sq_norms(x, "rows")
     assign, _, runner_up = two_smallest(center_approx(x, centers, sqx))
     return assign, center_d2(x, centers, assign), runner_up
 

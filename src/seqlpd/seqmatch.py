@@ -112,8 +112,8 @@ def difference_matrix(query_seq, ref_seq) -> np.ndarray:
 def coarse_match(query, skf: SuperKeyframes) -> int:
     """Cluster whose super keyframe is nearest the query (ties to lower id).
 
-    A query whose width is not the keyframes' raises DimensionError; one with
-    a NaN or inf, or whose squared norm overflows, raises InvalidParams.
+    A query whose width is not the keyframes' raises DimensionError; one that
+    fails the row rule of ``kernels.sq_norms`` raises InvalidParams.
     """
     if skf.K < 1:
         raise EmptySuperKeyframes("no clusters")
@@ -121,8 +121,7 @@ def coarse_match(query, skf: SuperKeyframes) -> int:
     dim = skf.keyframe_descriptors.shape[1]
     if q.shape[0] != dim:
         raise DimensionError(f"query descriptor dim {q.shape[0]}, map dim {dim}")
-    if not math.isfinite(float(np.einsum("d,d->", q, q))):
-        raise InvalidParams("query window must be finite, with finite squared norms")
+    kernels.sq_norms(q[None], "query")
     return int(np.argmin(kernels.sum_d2(skf.keyframe_descriptors, q)))
 
 
@@ -221,7 +220,7 @@ def _pruned_search(q, sq_q, ref_desc, cols, label, offsets, vels, params):
     back, ahead = int(offsets.max()), -int(offsets.min())
     # cells from one product, scores from one grid pass over lower|upper
     r = ref_desc[cols].astype(np.float64)
-    sq_r = np.einsum("nd,nd->n", r, r)
+    sq_r = kernels.sq_norms(r, "map rows")
     approx = sq_q[:, None] + sq_r[None, :] - 2.0 * (q @ r.T)
     slack = kernels.approx_slack(np.concatenate((sq_q, sq_r)))
     cells = np.concatenate((np.sqrt(np.maximum(approx - slack, 0.0)),
@@ -297,7 +296,7 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     from the same cells in the same order as a search of the whole run, so
     the result is that of scoring every column exactly.
 
-    A query window with a NaN or inf, or whose squared norms overflow,
+    A query window with a row that fails the row rule of ``kernels.sq_norms``
     raises InvalidParams; one whose width is not the map's raises
     DimensionError.
     """
@@ -305,9 +304,7 @@ def detect_loop(query_window, pmap: PlaceMap, skf: SuperKeyframes,
     if q.shape[0] != params.W:
         raise InvalidParams(f"query window has {q.shape[0]} frames, expected {params.W}")
     pmap.check_dim(q)
-    sq_q = np.einsum("wd,wd->w", q, q)
-    if not np.isfinite(sq_q).all():
-        raise InvalidParams("query window must be finite, with finite squared norms")
+    sq_q = kernels.sq_norms(q, "query window")
     cluster_id = coarse_match(q[-1], skf)
     runs = _candidate_runs(skf, cluster_id, params.W)
     if not runs:

@@ -6,6 +6,7 @@ tolerance it must meet, and each test ends by printing a one-line summary
 reports timings but never fails on them.
 """
 
+import os
 import time
 
 import numpy as np
@@ -138,8 +139,9 @@ def test_criterion_03_descriptor_invariants(monkeypatch, tmp_path):
             d_perm = net.describe(shuffled, lf[perm], ws, ACC_NET).astype(np.float64)
             worst_perm = max(worst_perm, float(np.abs(d64 - d_perm).max()))
         want = [net.describe(sub, lf, ws, ACC_NET).tobytes() for sub, lf in frames]
-        for threads in ("1", "4"):
-            monkeypatch.setenv("SEQLPD_THREADS", threads)
+        for threads in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=threads: set(range(n)), raising=False)
             _, _, got, _ = cli._describe_dir(tmp_path, cfg, (ws, ACC_NET))
             assert [d.tobytes() for d in got] == want
     assert worst_perm <= 1e-6

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import subprocess
@@ -130,8 +131,9 @@ def test_describe_dir_matches_per_frame_at_any_thread_count(tmp_path, monkeypatc
             lf = local_features(sub, cfg.k_local)
             want.append(net.baseline_descriptor(sub, lf) if model is None
                         else net.describe(sub, lf, *model))
-        for threads in ("1", "4"):
-            monkeypatch.setenv("SEQLPD_THREADS", threads)
+        for threads in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=threads: set(range(n)), raising=False)
             ids, _, got, _ = cli._describe_dir(tmp_path, cfg, model)
             assert ids == list(range(6))
             assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
@@ -515,6 +517,21 @@ def test_non_decimal_digit_stem_takes_the_frame_index(corpus, tmp_path, capsys):
                           + DESCRIBE_FLAGS, capsys)
     assert (code, err) == (0, "")
     assert placemap.load(tmp_path / "m.lpdm").frame_ids().tolist() == [0, 1]
+
+
+def test_a_non_decimal_stem_gives_every_frame_its_name_index(corpus, tmp_path, capsys):
+    # one id rule per directory: any stem that is not decimal makes every id
+    # the frame's index in name order, so "10.bin" is frame 0 here
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    blob = (corpus / "c" / "map" / "000000.bin").read_bytes()
+    for name in ("10.bin", "2.bin", "x.bin"):
+        (frames / name).write_bytes(blob)
+    assert cli._list_frames(frames) == [(0, "10.bin"), (1, "2.bin"), (2, "x.bin")]
+    code, _, err = _run(["describe", str(frames), "-o", str(tmp_path / "m.lpdm")]
+                        + DESCRIBE_FLAGS, capsys)
+    assert (code, err) == (0, "")
+    assert placemap.load(tmp_path / "m.lpdm").frame_ids().tolist() == [0, 1, 2]
 
 
 def _unpadded(src, dst):

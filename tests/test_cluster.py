@@ -268,10 +268,13 @@ def test_elbow_validates_params():
         cluster.ClusterParams(D=1.0, seed=-5000)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,
+                                 np.sqrt(0.5 * np.finfo(np.float64).max)])
 def test_non_finite_rows_are_invalid_params(bad):
     x = random_unit(np.random.default_rng(4), 12, 8).astype(np.float64)
-    x[5, 3] = bad  # 1e200 is finite, but its squared norm overflows
+    # 1e200 is finite, but its squared norm overflows; a squared norm of half
+    # the float64 maximum fails the kNN kernels' row rule (kernels.sq_norms)
+    x[5, 3] = bad
     with pytest.raises(InvalidParams, match="finite"):
         cluster.kmeanspp(x, K=3, seed=0)
     with pytest.raises(InvalidParams, match="finite"):
@@ -289,6 +292,11 @@ def _elbow_input(kind, n, seed):
     if kind == "duplicated":
         return x[rng.integers(0, 4, size=n)]
     return x
+
+
+def _cpus(monkeypatch, n: int):
+    """Give this process an affinity mask of ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _spy_workers(monkeypatch):
@@ -314,38 +322,37 @@ def _assert_elbow_matches_oracle(x, D, K_max, seed):
     assert c.distortion == history[-1]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["random", "rounded", "duplicated"])
 def test_elbow_serial_path_matches_sequential_oracle(monkeypatch, threads, kind):
-    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    _cpus(monkeypatch, threads)
     seen = _spy_workers(monkeypatch)
     x = _elbow_input(kind, 90, seed=21)
     _assert_elbow_matches_oracle(x, D=0.6, K_max=12, seed=3)
     assert seen == [1]  # 90 rows: below the pool threshold
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["random", "rounded", "duplicated"])
 def test_elbow_pooled_path_matches_sequential_oracle(monkeypatch, threads, kind):
-    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    _cpus(monkeypatch, threads)
     seen = _spy_workers(monkeypatch)
     # 1,030 rows x 256: above the pool threshold and three row blocks long
     x = _elbow_input(kind, 1030, seed=22)
     _assert_elbow_matches_oracle(x, D=0.6, K_max=5, seed=4)
-    assert seen == [min(int(threads), _accel.usable_cpus())]
+    assert seen == [threads]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 def test_elbow_k_max_at_least_n_matches_oracle(monkeypatch, threads):
-    monkeypatch.setenv("SEQLPD_THREADS", threads)
+    _cpus(monkeypatch, threads)
     for kind in ("random", "duplicated"):
         _assert_elbow_matches_oracle(_elbow_input(kind, 9, seed=23), D=0.05, K_max=25,
                                      seed=5)
 
 
 def test_elbow_pool_threshold_and_affinity_cap(monkeypatch):
-    monkeypatch.setenv("SEQLPD_THREADS", "8")
-    monkeypatch.setattr(_accel, "usable_cpus", lambda: 2)
+    _cpus(monkeypatch, 2)
     seen = _spy_workers(monkeypatch)
     params = cluster.ClusterParams(D=10.0, K_max=2)
     rng = np.random.default_rng(24)
@@ -354,27 +361,26 @@ def test_elbow_pool_threshold_and_affinity_cap(monkeypatch):
     assert seen == [1, 2]
 
 
-def test_thread_count_is_the_usable_cpus_capped_by_the_setting(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.delenv("SEQLPD_THREADS", raising=False)
-    assert _accel.usable_cpus() == _accel.thread_count() == 1
-    monkeypatch.setenv("SEQLPD_THREADS", "8")
-    assert _accel.thread_count() == 1  # an affinity mask of one CPU caps the setting
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    for raw, want in (("8", 4), ("3", 3), ("1", 1), ("0", 4), ("-2", 4), ("x", 4)):
-        monkeypatch.setenv("SEQLPD_THREADS", raw)
-        assert _accel.thread_count() == want, raw
+def test_thread_count_is_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for n in (1, 3):
+        _cpus(monkeypatch, n)
+        assert _accel.thread_count() == n
+    monkeypatch.setenv("SEQLPD_THREADS", "2")  # the pool reads no environment setting
+    assert _accel.thread_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # an OS without masks
+    assert _accel.thread_count() == 8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_seeding_weight_overflow_is_invalid_params():
+    # one message for one error: the overflow is the InvalidParams, not a warning too
     x = random_unit(np.random.default_rng(0), 80, 16).astype(np.float64)
     cluster.kmeanspp(x * 1e153, K=3, seed=0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(InvalidParams, match="seeding weights overflow"):
-            cluster.kmeanspp(x * 5e153, K=3, seed=0)
-        with pytest.raises(InvalidParams, match="seeding weights overflow"):
-            cluster.elbow_select(x * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
+    with pytest.raises(InvalidParams, match="seeding weights overflow"):
+        cluster.kmeanspp(x * 5e153, K=3, seed=0)
+    with pytest.raises(InvalidParams, match="seeding weights overflow"):
+        cluster.elbow_select(x * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
 
 
 def test_run_jobs_keeps_job_order_and_uses_the_caller():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqlpd import placemap
+from seqlpd import fileio, placemap
 from seqlpd.cloud import Pose
 from seqlpd.errors import (DimensionError, FormatError, InvalidParams, IoError, NormError,
                            OrderError)
@@ -228,6 +228,27 @@ def test_lpdm_out_of_range_header_and_ids_are_format_errors(tmp_path):
 def test_lpdm_missing_file(tmp_path):
     with pytest.raises(IoError):
         placemap.load(tmp_path / "absent.lpdm")
+
+
+def test_reader_checks_the_records_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # the finite check of an 8.45 MB map holds the bools of one 256 KB chunk,
+    # not one per value of the file
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", 1 << 18)
+    n, dim = 8000, 256
+    rows = np.zeros(n, dtype=placemap._entry_dtype(dim))
+    rows["desc"] = random_unit(np.random.default_rng(6), n, dim)
+    path = tmp_path / "big.lpdm"
+    path.write_bytes(struct.pack("<4sIIQ", b"LPDM", 1, dim, n) + rows.tobytes())
+    with fileio.Reader(path, b"LPDM", 1) as r:
+        r.unpack("<IQ")
+        tracemalloc.start()
+        try:
+            got = r.array(rows.dtype, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - got.nbytes < 500_000
+    assert got.tobytes() == rows.tobytes()
 
 
 def test_load_keeps_the_records_it_read(tmp_path):

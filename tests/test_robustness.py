@@ -283,6 +283,16 @@ def test_one_file_boundary_and_one_pool():
                 assert node.name != "take", f"take() reader in {name}"
 
 
+def test_the_package_reads_no_environment_variable():
+    # the worker count is the affinity mask's, and every other setting is a flag
+    # or a config key
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "name", None)
+            assert ident not in ("environ", "getenv"), f"{ident} in {name}"
+
+
 # Config keys whose defaults another module owns: the stage objects (which also
 # own their bounds), features.DEFAULT_K and cloud.DEFAULT_SUBMAP_SIZE
 _STAGE_KEYS = {"W", "v_min", "v_max", "v_step", "accept_ratio", "mirror", "k_graph", "K_max",
@@ -399,12 +409,15 @@ def test_one_exact_knn():
 
 
 def test_only_kernels_compute_squared_distances():
-    # every squared distance comes from the kernels, which fix each reduction
-    # (.sum or einsum) the oracles define; a power of a constant is no distance
+    # every squared distance and row norm comes from the kernels, which fix each
+    # reduction (.sum or einsum) the oracles define and own the one row rule
+    # (kernels.sq_norms); a power of a constant is no distance
     for name, tree in _sources():
         if name == "kernels.py":
             continue
         for node in ast.walk(tree):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert ident != "einsum", f"einsum in {name} line {node.lineno}"
             if isinstance(node, ast.AugAssign):
                 assert not isinstance(node.op, ast.Pow), f"**= in {name} line {node.lineno}"
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

@@ -73,8 +73,9 @@ def test_coarse_match_rejects_a_query_of_another_width():
             seqmatch.coarse_match(q, skf)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
-                         ids=["nan", "inf", "-inf", "overflowing"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,
+                                 np.sqrt(0.5 * np.finfo(np.float64).max)],
+                         ids=["nan", "inf", "-inf", "overflowing", "half_max_norm"])
 def test_coarse_match_rejects_a_non_finite_query(bad):
     skf = _skf_for(_map_from(random_unit(np.random.default_rng(4), 12, 8)), K=3)
     q = np.full(8, 0.25)
@@ -576,14 +577,17 @@ def test_second_best_follows_the_exact_best_not_the_least_upper_bound():
     assert repr(seqmatch.detect_loop(query, pm, skf, params)) == repr(want)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,
+                                 np.sqrt(0.5 * np.finfo(np.float64).max)])
 def test_non_finite_query_is_invalid_params(bad):
     rng = np.random.default_rng(15)
     base, _ = _loop_descriptors(rng, n_places=40)
     pm = _map_from(base)
     skf = _skf_for(pm, K=1)
     window = base[10:20].astype(np.float64)
-    window[3, 5] = bad  # 1e200 is finite, but its square is not
+    # 1e200 is finite, but its square is not; a square of half the float64
+    # maximum fails the kernels' row rule (kernels.sq_norms)
+    window[3, 5] = bad
     with pytest.raises(InvalidParams, match="finite"):
         seqmatch.detect_loop(window, pm, skf, seqmatch.MatchParams(W=10))
 
