@@ -21,8 +21,8 @@ from .errors import (DimensionError, EmptyDatabase, EmptyIndex, EmptyInput,
                      EmptySuperKeyframes, FormatError, InsufficientHistory,
                      InvalidCluster, InvalidK, InvalidParams, IoError,
                      LengthMismatch, NoValidTrajectory, NormError, OrderError,
-                     OutOfBounds, RunLengthError, SeqLPDError, ShapeError,
-                     WindowTooLarge)
+                     OutOfBounds, OutOfMemory, RunLengthError, SeqLPDError,
+                     ShapeError, WindowTooLarge)
 from .features import local_features
 from .metrics import (RecallResult, recall_at_n, recall_at_one_percent, recall_curve,
                       seq_protocol)

@@ -20,7 +20,7 @@ from ._accel import run_jobs, thread_count
 from .cloud import (DEFAULT_TRAJECTORY_LEN, Pose, accumulate_submap, load_csv,
                     load_kitti_bin, normalize_submap)
 from .errors import (EmptyInput, FormatError, InsufficientHistory, InvalidParams,
-                     IoError, SeqLPDError)
+                     IoError, OutOfMemory, SeqLPDError)
 from .features import local_features
 
 
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
         return 2
     except SeqLPDError as exc:
         sys.stderr.write(f"E:{exc.code}:{_one_line(exc)}\n")
+        return 1
+    except MemoryError as exc:  # numpy refused an array that a size from the input asks for
+        sys.stderr.write(f"E:{OutOfMemory.__name__}:{_one_line(exc)}\n")
         return 1
 
 

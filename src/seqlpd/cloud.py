@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, kernels
-from .errors import EmptyIndex, EmptyInput, FormatError, InvalidParams, LengthMismatch
+from .errors import (EmptyIndex, EmptyInput, FormatError, InvalidParams, LengthMismatch,
+                     OutOfMemory)
 
 DEFAULT_SUBMAP_SIZE = 4096
 DEFAULT_TRAJECTORY_LEN = 20.0
@@ -123,12 +124,15 @@ def normalize_submap(cloud: PointCloud, n_sub: int = DEFAULT_SUBMAP_SIZE, seed: 
 
     Oversized clouds are subsampled uniformly without replacement; undersized
     ones keep every point and fill the shortfall with replacement.  Both draws
-    are seeded.  A zero-spread cloud gets scale 1.
+    are seeded.  A zero-spread cloud gets scale 1.  An ``n_sub`` whose
+    points hold more bytes than numpy can address raises OutOfMemory.
     """
     if len(cloud) == 0:
         raise EmptyInput("cannot normalize an empty cloud")
     if n_sub < 1:
         raise InvalidParams("n_sub must be >= 1")
+    if n_sub > np.iinfo(np.intp).max // (3 * 8):  # more float64 bytes than numpy can address
+        raise OutOfMemory(f"cannot allocate a submap of {n_sub} points")
     pts = cloud.points
     n = pts.shape[0]
     if n != n_sub:

@@ -66,6 +66,10 @@ class EmptySuperKeyframes(SeqLPDError):
     """No super keyframes available for coarse matching."""
 
 
+class OutOfMemory(SeqLPDError):
+    """A size from the input asks for an array that cannot be allocated."""
+
+
 class OutOfBounds(SeqLPDError):
     """Projected trajectory leaves the difference matrix."""
 

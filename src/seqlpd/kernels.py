@@ -4,14 +4,18 @@ Every kernel is vectorized numpy and implements an exact contract:
 distances are computed with the direct squared-difference formula, and
 distance ties are always broken by the lower index.
 
-Every kNN kernel follows one candidate rule.  A fast source proposes k + 8
+Every kNN kernel follows one candidate rule.  A fast source proposes
 candidates per query, ascending by an approximate squared distance that lies
 within ``tol`` of the exact one: a ``scipy.spatial.cKDTree`` for
 :func:`kdtree_knn`, a BLAS product for :func:`feature_knn` and for
 retrieval's :func:`map_knn`.  The source also gives a bound that every point
 it left out reaches: the tree's last candidate distance, or the smallest
-approximate value left out, each less its rounding.  :func:`_exact_knn`
-answers each row by one of three paths:
+approximate value left out, each less its rounding.  The product kernels
+propose k + 8 candidates in one round: their cost is the product and one
+partition of every column, the same for k + 1 as for k + 8.  The tree's cost
+grows with the candidates it fetches, so it proposes k + 1 first, keeps every
+row :func:`_certified` from those, and proposes k + 8 only for the others.
+:func:`_exact_knn` answers each row of a k + 8 proposal by one of three paths:
 
 1. *Certified*: the row's first k + 1 values are more than ``2 tol`` apart
    at every step, and its k-th value plus ``tol`` lies below its bound.  The
@@ -47,8 +51,9 @@ import numpy as np
 
 from .errors import InvalidParams
 
-# extra candidates beyond k, so ties at the k-th distance rarely reach
-# the full-scan fallback
+# extra candidates beyond k in a full proposal (the product kernels', and the
+# tree's second round), so ties at the k-th distance rarely reach the
+# full-scan fallback
 _KNN_SLACK = 8
 # relative rounding allowance of the tree's squared distances: it narrows the
 # bound of the tree's last candidate and scales the tree's certification
@@ -133,25 +138,36 @@ def _rerank(qs: np.ndarray, pts: np.ndarray, cand: np.ndarray, k: int):
     return np.take_along_axis(cand, order, axis=1), d2[np.arange(cand.shape[0]), order[:, -1]]
 
 
+def _certified(vals: np.ndarray, tol: np.ndarray, bound, k: int) -> np.ndarray:
+    """Rows whose first k candidates are their exact k nearest as they stand.
+
+    ``vals`` ascend along each row within ``tol`` (one per row) of the exact
+    squared distances; a row is certified when its first k + 1 values are
+    more than ``2 tol`` apart at every step and its k-th value plus ``tol``
+    lies below its ``bound``: its exact distances then keep that strict
+    order, and no point left out can come closer than its k-th.
+    """
+    sure = (np.diff(vals[:, :k + 1], axis=1) > 2.0 * tol[:, None]).all(axis=1)
+    sure &= vals[:, k - 1] + tol < bound
+    return sure
+
+
 def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
                k: int, own=None, vals=None, tol=0.0) -> np.ndarray:
     """Exact k nearest ``pts`` rows per query from candidate columns ``cand``.
 
     ``vals``, when given, holds each candidate's approximate squared
     distance, ascending along each row and within ``tol`` (a scalar or one
-    per row) of the exact value.  A row is certified when its first k + 1
-    values are more than ``2 tol`` apart at every step and its k-th value
-    plus ``tol`` lies below its bound: its exact distances then keep that
-    strict order, so its first k candidates are the answer.  Every other
-    row (every row without ``vals``) is re-ranked by (exact squared
-    distance, index).  Every point the candidate source left out lies at
-    least ``bound`` away, so a re-ranked row whose k-th exact distance
-    reaches its bound may have an unseen point tied with or closer than its
-    k-th neighbor; that row is answered by an exact scan of every point
-    except its ``own`` index, if given.  ``pts`` may be float32: a point is
-    widened exactly where it is subtracted.  ``cand`` must be writable: the
-    re-rank sorts a block's rows in place.  Temporaries stay near
-    ``_BLOCK_ELEMS``.
+    per row) of the exact value; a row :func:`_certified` from them keeps
+    its first k candidates.  Every other row (every row without ``vals``)
+    is re-ranked by (exact squared distance, index).  Every point the
+    candidate source left out lies at least ``bound`` away, so a re-ranked
+    row whose k-th exact distance reaches its bound may have an unseen
+    point tied with or closer than its k-th neighbor; that row is answered
+    by an exact scan of every point except its ``own`` index, if given.
+    ``pts`` may be float32: a point is widened exactly where it is
+    subtracted.  ``cand`` must be writable: the re-rank sorts a block's rows
+    in place.  Temporaries stay near ``_BLOCK_ELEMS``.
     """
     b, d = qs.shape[0], pts.shape[1]
     out = np.empty((b, k), dtype=np.int64)
@@ -163,10 +179,8 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
     for s in range(0, b, qstep):
         rows = np.s_[s:s + qstep]
         if vals is not None:
-            v, t = vals[rows], tol[rows]
             out[rows] = cand[rows, :k]
-            sure = (np.diff(v[:, :k + 1], axis=1) > 2.0 * t[:, None]).all(axis=1)
-            sure &= v[:, k - 1] + t < bound[rows]
+            sure = _certified(vals[rows], tol[rows], bound[rows], k)
             if sure.all():
                 continue
             if sure.any():
@@ -180,33 +194,50 @@ def _exact_knn(qs: np.ndarray, pts: np.ndarray, cand, bound,
     return out
 
 
-def _candidates(approx: np.ndarray, npre: int, slack: float):
-    """The ``npre`` smallest columns per row and their values, both ascending by
-    value, and the smallest value left out less ``slack``."""
-    part = np.argpartition(approx, npre, axis=1)
+def _candidates(part_d2: np.ndarray, sqa: np.ndarray, npre: int, slack: float):
+    """Candidates from each row's approximate squared distances less the row's
+    squared norm ``sqa``: the ``npre`` smallest columns per row and their values
+    with ``sqa`` added back, both ascending by value, and the smallest value
+    left out, with ``sqa`` added back, less ``slack``.
+
+    Adding ``sqa`` keeps a row's order, so only the candidates and the bound
+    pay for it, not every column.
+    """
+    part = np.argpartition(part_d2, npre, axis=1)
     cand = part[:, :npre]
-    vals = np.take_along_axis(approx, cand, axis=1)
+    vals = np.take_along_axis(part_d2, cand, axis=1)
     order = np.argsort(vals, axis=1)
-    bound = np.take_along_axis(approx, part[:, npre:npre + 1], axis=1)[:, 0] - slack
-    return (np.take_along_axis(cand, order, axis=1), np.take_along_axis(vals, order, axis=1),
-            bound)
+    vals = np.take_along_axis(vals, order, axis=1)
+    vals += sqa[:, None]
+    bound = np.take_along_axis(part_d2, part[:, npre:npre + 1], axis=1)[:, 0] + sqa - slack
+    return np.take_along_axis(cand, order, axis=1), vals, bound
 
 
-def _approx_d2(prod: np.ndarray, sqa: np.ndarray, sqb: np.ndarray) -> np.ndarray:
-    """``sqa[:, None] + sqb - 2 prod``, written over the products ``prod``."""
-    prod *= -2.0
-    prod += sqa[:, None]
-    prod += sqb
-    return prod
+def _tree_candidates(tree, qs: np.ndarray, m: int):
+    """The tree's ``m`` nearest points per query: their indices, squared
+    distances, bound and ``tol``, as :func:`_exact_knn` reads them.
+
+    Every point left out is at least as far as the last candidate, so that
+    distance, narrowed by the tree's rounding, is the bound (``inf`` when the
+    candidates are the whole tree).
+    """
+    far, cand = tree.query(qs, k=m)
+    vals = far.reshape(-1, m)
+    np.multiply(vals, vals, out=vals)
+    last = vals[:, -1]
+    bound = np.inf if m == tree.data.shape[0] else last * (1.0 - _KNN_TIE_RTOL)
+    tol = _KNN_TIE_RTOL * last + _KNN_TOL_FLOOR
+    return cand.reshape(-1, m).astype(np.int64, copy=False), vals, bound, tol
 
 
 def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     """k nearest tree points per query row, ascending (distance, index).
 
-    Saturates at the tree size.  The tree proposes k + 8 candidates per
-    query with their distances, whose squares are the values certification
-    reads; every point it left out is at least as far as its last one, so
-    that distance, narrowed by the tree's rounding, is the bound.
+    Saturates at the tree size.  The tree proposes candidates in two rounds.
+    The first asks for k + 1 per query, enough to certify a row; most rows
+    are, and keep their first k as they stand.  Only the rows it cannot
+    certify are asked again for k + 8, which :func:`_exact_knn` certifies,
+    re-ranks or scans.  When k + 1 covers the tree there is one round.
     """
     pts = tree.data
     qs = np.ascontiguousarray(queries, dtype=np.float64).reshape(-1, pts.shape[1])
@@ -215,26 +246,31 @@ def kdtree_knn(tree, queries: np.ndarray, k: int) -> np.ndarray:
     kk = min(k, n)
     if kk == 0:
         return np.empty((qs.shape[0], 0), dtype=np.int64)
-    m = min(kk + _KNN_SLACK, n)
-    far, cand = tree.query(qs, k=m)
-    vals = far.reshape(-1, m)
-    np.multiply(vals, vals, out=vals)
-    last = vals[:, -1]
-    bound = np.inf if m == n else last * (1.0 - _KNN_TIE_RTOL)
-    tol = _KNN_TIE_RTOL * last + _KNN_TOL_FLOOR
-    cand = cand.reshape(-1, m).astype(np.int64, copy=False)
-    return _exact_knn(qs, pts, cand, bound, kk, vals=vals, tol=tol)
+    m = min(kk + 1, n)
+    cand, vals, bound, tol = _tree_candidates(tree, qs, m)
+    if m == n:
+        return _exact_knn(qs, pts, cand, bound, kk, vals=vals, tol=tol)
+    out = cand[:, :kk].copy()
+    rest = np.flatnonzero(~_certified(vals, tol, bound, kk))
+    if rest.size:
+        cand, vals, bound, tol = _tree_candidates(tree, qs[rest], min(kk + _KNN_SLACK, n))
+        out[rest] = _exact_knn(qs[rest], pts, cand, bound, kk, vals=vals, tol=tol)
+    return out
 
 
 def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
     """k nearest rows per row in feature space, excluding the row itself.
 
     Saturates at n-1 neighbors; ties broken by lower index.  Returns an
-    (n, min(k, n-1)) index array.  A BLAS product gives approximate squared
-    distances, built in one buffer per block of ``_BLOCK_ELEMS // n`` rows;
-    the k + 8 smallest of each row are the candidates, the product's
-    rounding bound :func:`approx_slack` is their ``tol``, and the smallest
-    approximate value left out, less that rounding, is the bound.
+    (n, min(k, n-1)) index array.  A BLAS product of each row block times -2
+    (an exact scaling) with every row gives approximate squared distances
+    less each row's own squared norm, built in one buffer per block of
+    ``_BLOCK_ELEMS // n`` rows and completed by one pass that adds the
+    columns' norms; the k + 8 smallest of each row are the candidates, the
+    product's rounding bound :func:`approx_slack` is their ``tol``, and the
+    smallest approximate value left out, less that rounding, is the bound.
+    A partition costs the same for k + 1 as for k + 8 candidates, so there
+    is one round.
     """
     x = np.ascontiguousarray(feats, dtype=np.float64)
     n = x.shape[0]
@@ -250,11 +286,12 @@ def feature_knn(feats: np.ndarray, k: int) -> np.ndarray:
     for s in range(0, n, step):
         e = min(s + step, n)
         own = np.arange(s, e)
-        approx = _approx_d2(np.matmul(x[s:e], x.T, out=buf[:e - s]), sq[s:e], sq)
-        approx[own - s, own] = np.inf
+        part_d2 = np.matmul(x[s:e] * -2.0, x.T, out=buf[:e - s])
+        part_d2 += sq
+        part_d2[own - s, own] = np.inf
         # column npre holds the smallest value left out (the row's own inf
         # when every other row is a candidate)
-        cand, vals, bound = _candidates(approx, npre, slack)
+        cand, vals, bound = _candidates(part_d2, sq[s:e], npre, slack)
         out[s:e] = _exact_knn(x[s:e], x, cand, bound, kk, own, vals, slack)
     return out
 
@@ -266,8 +303,10 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
     for the BLAS product; when k + 8 covers the map, every row is a candidate
     and is re-ranked.  Candidates are proposed for one block of queries at a
     time from one buffer of approximate values, so those values and their
-    partition indices never exceed ``_QUERY_BLOCK_ELEMS`` each; their ``tol``
-    is :func:`approx_slack`, as in :func:`feature_knn`.
+    partition indices never exceed ``_QUERY_BLOCK_ELEMS`` each.  As in
+    :func:`feature_knn`, the widened rows are scaled by -2 for the product,
+    each query's squared norm is added back to its candidates and bound
+    only, and their ``tol`` is :func:`approx_slack`.
     """
     qs = np.ascontiguousarray(queries, dtype=np.float64)
     (nq, d), n, kk = qs.shape, pts.shape[0], min(k, pts.shape[0])
@@ -281,11 +320,12 @@ def map_knn(queries: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
     buf = np.empty((min(qstep, nq), n))
     for a in range(0, nq, qstep):
         q = qs[a:a + qstep]
-        approx = buf[:q.shape[0]]
+        part_d2 = buf[:q.shape[0]]
         for s in range(0, n, step):
-            np.matmul(q, pts[s:s + step].astype(np.float64).T, out=approx[:, s:s + step])
-        cand, vals, bound = _candidates(_approx_d2(approx, sqq[a:a + qstep], sqp),
-                                        kk + _KNN_SLACK, slack)
+            np.matmul(q, np.multiply(pts[s:s + step], -2.0, dtype=np.float64).T,
+                      out=part_d2[:, s:s + step])
+        part_d2 += sqp
+        cand, vals, bound = _candidates(part_d2, sqq[a:a + qstep], kk + _KNN_SLACK, slack)
         out[a:a + qstep] = _exact_knn(q, pts, cand, bound, kk, vals=vals, tol=slack)
     return out
 

@@ -122,6 +122,69 @@ def test_kdtree_build_copies_points():
     np.testing.assert_array_equal(kernels.kdtree_knn(tree, np.zeros((1, 3)), 1), [[0]])
 
 
+class _QuerySpy:
+    """A KD-tree whose ``query`` calls are recorded as (query rows, k)."""
+
+    def __init__(self, tree):
+        self.tree, self.data, self.calls = tree, tree.data, []
+
+    def query(self, qs, k):
+        self.calls.append((qs.copy(), k))
+        return self.tree.query(qs, k=k)
+
+
+def _spied_knn(pts, k):
+    """kdtree_knn of every point of ``pts`` and the tree's query calls."""
+    spy = _QuerySpy(kernels.kdtree_build(pts))
+    return kernels.kdtree_knn(spy, pts, k), spy.calls
+
+
+def test_kdtree_generic_submap_is_answered_by_the_first_round():
+    rng = np.random.default_rng(21)
+    pts = cloud.normalize_submap(cloud.PointCloud(rng.normal(size=(4000, 3))),
+                                 n_sub=1024, seed=21).points
+    got, calls = _spied_knn(pts, 20)
+    np.testing.assert_array_equal(got, knn_oracle(pts, pts, 20))
+    # one query for k + 1 neighbors; no row is left for k + 8
+    assert [(q.shape[0], k) for q, k in calls] == [(1024, 21)]
+
+
+@pytest.mark.parametrize("n_points", [256, 1000])
+def test_kdtree_second_round_takes_exactly_the_uncertified_rows(n_points):
+    """256 points filled to 1024 leave every row a copy pair among its 21
+    nearest; 1000 filled to 1024 leave some rows none."""
+    rng = np.random.default_rng(22)
+    pts = cloud.normalize_submap(cloud.PointCloud(rng.normal(size=(n_points, 3))),
+                                 n_sub=1024, seed=22).points
+    got, calls = _spied_knn(pts, 20)
+    np.testing.assert_array_equal(got, knn_oracle(pts, pts, 20))
+    # duplicated points tie exactly and every other gap is far above the
+    # tree's rounding, so the rows the first round cannot certify are those
+    # with an exact tie among their 21 nearest
+    tied = np.flatnonzero((np.diff(_ranked_d2("kdtree", pts, pts)[:, :21], axis=1) == 0)
+                          .any(axis=1))
+    assert 0 < tied.size <= 1024 and (tied.size == 1024) == (n_points == 256)
+    assert [k for _, k in calls] == [21, 28]
+    np.testing.assert_array_equal(calls[0][0], pts)
+    np.testing.assert_array_equal(calls[1][0], pts[tied])
+
+
+def test_kdtree_rounds_saturate_at_the_tree_size():
+    rng = np.random.default_rng(23)
+    pts = np.repeat(rng.normal(size=(6, 3)), 2, axis=0)  # 12 points, each twice
+    # k + 1 >= n: one round over the whole tree
+    for k in (11, 12, 30):
+        got, calls = _spied_knn(pts, k)
+        np.testing.assert_array_equal(got, knn_oracle(pts, pts, k))
+        assert [(q.shape[0], kq) for q, kq in calls] == [(12, 12)]
+    # k + 1 < n <= k + 8: every row ties with its copy, and the second round
+    # covers the whole tree
+    for k in (4, 5, 10):
+        got, calls = _spied_knn(pts, k)
+        np.testing.assert_array_equal(got, knn_oracle(pts, pts, k))
+        assert [(q.shape[0], kq) for q, kq in calls] == [(12, k + 1), (12, 12)]
+
+
 def _knn(kernel, x, queries, k):
     """One kNN kernel's result on (x, queries, k) and its oracle's;
     ``feature_knn`` ranks the rows of ``x`` against each other."""

@@ -102,8 +102,9 @@ def test_mutated_containers_fail_as_format_error_or_round_trip(containers, which
 
 # flags with a documented range, each with hostile values; unbounded sizes
 # (n_sub, k_local, places, points) would only ask numpy for huge arrays and
-# are left out.  The velocity grid is bounded, so a tiny v_step and a v_max
-# far above v_min are drawn.
+# are left out here: test_unallocatable_n_sub_is_one_error_line checks sizes
+# that no machine grants.  The velocity grid is bounded, so a tiny v_step and
+# a v_max far above v_min are drawn.
 _INT = ["-1", "0", "-5000", "1", "2", "3", "5", str(10 ** 30), "nan"]
 _FLOAT = ["-1", "0", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "0.5", "0.9", "1", "2"]
 _VELOCITIES = [("1e300", "1e300"), ("0.8", "inf"), ("inf", "inf"), ("nan", "1.2"),
@@ -177,6 +178,21 @@ def test_hostile_flags_give_exit_0_or_one_error_line(small_corpus, argv):
     else:
         assert code in (1, 2)
         assert text.count("\n") == 1 and text.startswith("E:"), text
+
+
+# 10**11 points ask numpy for 745 GiB at once, more memory and swap than a
+# test machine has, so the request fails without touching memory; 10**30 is
+# refused before numpy is asked.  A size that could be granted is never run.
+@pytest.mark.parametrize("n_sub", [10 ** 11, 10 ** 30])
+@pytest.mark.parametrize("argv", [
+    ["describe", os.path.join("c", "map"), "-o", "d.lpdm"],
+    ["match", "m.lpdm", "m.lpdc", os.path.join("c", "query")],
+    ["eval", "m.lpdm", os.path.join("c", "query"), "--gt-radius", "1"]],
+    ids=lambda argv: argv[0])
+def test_unallocatable_n_sub_is_one_error_line(small_corpus, argv, n_sub):
+    code, out, err = _run_cli(small_corpus, argv + ["--baseline", "--n-sub", str(n_sub)])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("E:OutOfMemory:"), err
 
 
 def _run_cli(root, argv) -> tuple:
