@@ -6,6 +6,13 @@ run on, so ``taskset`` limits it.  Clustering stays serial for small maps,
 whose jobs are too short to gain from threads.  No worker count
 changes a result or the error raised.  No other module of the package
 starts a thread.
+
+The workers are threads of one interpreter, so jobs overlap only where
+their long numpy calls release the GIL.  ``@`` (``np.matmul``) holds it
+through a product of at most 500 output values however long its inner
+dimension, such as the NetVLAD projection's 65,536 x 256 vector x matrix
+product; ``np.dot`` releases it for any BLAS product.  The package writes
+such products, vector x matrix above all, as ``np.dot``.
 """
 
 import itertools

@@ -16,6 +16,9 @@ from .errors import (EmptyIndex, EmptyInput, FormatError, InvalidParams, LengthM
 
 DEFAULT_SUBMAP_SIZE = 4096
 DEFAULT_TRAJECTORY_LEN = 20.0
+# the most float64 (x, y, z) points numpy can address; more raise OutOfMemory
+# before numpy is asked
+MAX_POINTS = np.iinfo(np.intp).max // (3 * 8)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def normalize_submap(cloud: PointCloud, n_sub: int = DEFAULT_SUBMAP_SIZE, seed: 
         raise EmptyInput("cannot normalize an empty cloud")
     if n_sub < 1:
         raise InvalidParams("n_sub must be >= 1")
-    if n_sub > np.iinfo(np.intp).max // (3 * 8):  # more float64 bytes than numpy can address
+    if n_sub > MAX_POINTS:
         raise OutOfMemory(f"cannot allocate a submap of {n_sub} points")
     pts = cloud.points
     n = pts.shape[0]

@@ -235,12 +235,17 @@ def random_weights(config: NetConfig, seed: int) -> WeightSet:
 
 def _dense(x: np.ndarray, ws: WeightSet, name: str, relu: bool = True,
            out: np.ndarray = None) -> np.ndarray:
-    """One layer, x @ w + b then ReLU, written in place into ``out`` when given."""
+    """One layer, x @ w + b then ReLU, written in place into ``out`` when given.
+
+    The product is ``np.dot``: it releases the GIL for the pooled 1-D
+    vector of a transform net's FC head as for row blocks, where
+    ``np.matmul`` would hold it (see ``_accel``).
+    """
     w = ws[f"{name}.w"]
     b = ws[f"{name}.b"]
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"tensor '{name}.w' expects input width {w.shape[0]}, got {x.shape[-1]}")
-    out = np.matmul(x, w, out=out)
+    out = np.dot(x, w, out=out)
     out += b
     if relu:
         np.maximum(out, np.float32(0.0), out=out)
@@ -325,7 +330,10 @@ def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -
     """Soft-assign rows to cluster centers, pool residuals, project to the unit descriptor.
 
     Residual accumulation runs in float64 so the result is invariant to row
-    permutations well below 1e-6.
+    permutations well below 1e-6.  The projection, a 65,536 x 256 float64
+    vector x matrix product at the default widths, is ``np.dot``: it
+    releases the GIL, so another pool worker runs while it does, and gives
+    the bytes ``@`` gives.  ``@`` holds the GIL for the whole product.
     """
     x = np.asarray(feats, dtype=np.float32)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -347,7 +355,7 @@ def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -
     if flat.shape[0] != proj_w.shape[0]:
         raise ShapeError(f"tensor 'vlad.proj.w' expects input width {proj_w.shape[0]}, "
                          f"got {flat.shape[0]}")
-    out = flat @ proj_w + ws["vlad.proj.b"].astype(np.float64)
+    out = np.dot(flat, proj_w) + ws["vlad.proj.b"].astype(np.float64)
     norm = float(np.linalg.norm(out))
     if norm == 0.0:
         raise NormError("projection produced a zero vector")

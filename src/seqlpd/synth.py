@@ -23,7 +23,8 @@ import os
 import numpy as np
 
 from . import fileio
-from .errors import InvalidParams
+from .cloud import MAX_POINTS
+from .errors import InvalidParams, OutOfMemory
 
 SCENARIOS = ("loop", "blobs", "line")
 _SPACING = 2.0
@@ -100,7 +101,11 @@ def _jitter(rng, cloud: np.ndarray, sigma: float) -> np.ndarray:
 
 def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
              places: int = 60, points: int = 1024) -> dict:
-    """Write one corpus under ``out_dir``; returns frame/pair counts."""
+    """Write one corpus under ``out_dir``; returns frame/pair counts.
+
+    A corpus of more float64 points (``places * points``) than numpy can
+    address raises OutOfMemory before anything is drawn or written.
+    """
     if scenario not in SCENARIOS:
         raise InvalidParams(f"unknown scenario '{scenario}'")
     if not 0.0 <= sigma < math.inf:
@@ -111,6 +116,8 @@ def generate(out_dir, scenario: str, sigma: float = 0.0, seed: int = 0,
         raise InvalidParams(f"need at least {_BLOB_TYPES} places")
     if points < 16:
         raise InvalidParams("need at least 16 points per frame")
+    if places * points > MAX_POINTS:
+        raise OutOfMemory(f"cannot allocate {places} places of {points} points")
     fileio.make_dirs(out_dir)
 
     if scenario == "loop":

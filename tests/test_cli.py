@@ -139,6 +139,29 @@ def test_describe_dir_matches_per_frame_at_any_thread_count(tmp_path, monkeypatc
             assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
+def test_describe_dir_at_default_widths_matches_per_frame_at_1_and_2_workers(
+        tmp_path, monkeypatch):
+    # the 65,536 x 256 projection and 1,024-wide post MLP run side by side on
+    # two workers; frames of 300 (upsampled) to 1,500 points
+    rng = np.random.default_rng(12)
+    sizes = (300, 1024, 1500, 800)
+    for i, n in enumerate(sizes):
+        rng.uniform(-20.0, 20.0, size=(n, 4)).astype("<f4").tofile(tmp_path / f"{i:06d}.bin")
+    cfg = config.Config(n_sub=1024, seed=6)
+    ws = net.random_weights(net.NetConfig(), seed=12)
+    model = (ws, net.fit_widths(ws, cfg.net_config()))
+    want = []
+    for i in range(len(sizes)):
+        sub = normalize_submap(load_kitti_bin(tmp_path / f"{i:06d}.bin", i), cfg.n_sub,
+                               seed=cfg.seed + i)
+        want.append(net.describe(sub, local_features(sub, cfg.k_local), *model).tobytes())
+    for threads in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=threads: set(range(n)), raising=False)
+        _, _, got, _ = cli._describe_dir(tmp_path, cfg, model)
+        assert [d.tobytes() for d in got] == want
+
+
 def test_match_end_to_end(corpus, capsys):
     code, out, _ = _run(["match", str(corpus / "map.lpdm"),
                          str(corpus / "map.lpdc"), str(corpus / "c" / "query")]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import sys
@@ -14,6 +15,7 @@ from seqlpd import _accel, cluster, kernels, placemap, seqmatch
 from seqlpd.cloud import Pose
 from seqlpd.errors import FormatError, InvalidK, InvalidParams
 
+from conftest import gil_hold, in_child
 from oracles import (elbow_oracle, kmeans_assign_oracle, kmeans_oracle, random_unit,
                      two_partition_oracle)
 
@@ -674,3 +676,30 @@ def test_exact_passes_use_one_row_block_beyond_their_output(rows):
             tracemalloc.stop()
         assert got.tobytes() == expect.tobytes()
         assert peak <= got.nbytes + kernels.row_block(256) * 256 * 8 + (16 << 10)
+
+
+def restart_job():
+    """One elbow restart as a pool job runs it: K = 25 on a 5,000 x 256 map."""
+    x, _, _ = _blobs(np.random.default_rng(40), n_per=1000, sigma=0.2, k=5)
+    return lambda: cluster.kmeanspp(x, 25, seed=40)
+
+
+def test_elbow_restart_holds_the_gil_briefly():
+    assert gil_hold("test_cluster:restart_job") < 5e-3
+
+
+def elbow_digest() -> str:
+    """sha256 of an elbow result on a 1,100 x 256 map, over the pool threshold."""
+    x, _, _ = _blobs(np.random.default_rng(41), n_per=220, sigma=0.2, k=5)
+    assert x.size >= cluster._POOL_MIN_SIZE
+    res = cluster.elbow_select(x, cluster.ClusterParams(D=0.5, K_max=12, seed=41))
+    c = res.clustering
+    h = hashlib.sha256(repr((res.K, res.j_curve, res.constraint_ok, c.history)).encode())
+    h.update(c.centers.tobytes())
+    h.update(c.assignment.tobytes())
+    return h.hexdigest()
+
+
+def test_elbow_bytes_do_not_depend_on_blas_threads():
+    assert in_child("test_cluster:elbow_digest", blas_threads=1) \
+        == in_child("test_cluster:elbow_digest", blas_threads=2)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 import threading
@@ -6,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqlpd import cloud, fileio, kernels, net
+from seqlpd import cloud, features, fileio, kernels, net
 from seqlpd.errors import EmptyInput, FormatError, NormError, ShapeError
 
+from conftest import gil_hold, in_child
 from oracles import quadruplet_oracle
 
 SMALL = net.NetConfig(k_graph=4, vlad_clusters=6, point_mlp=(12, 16),
@@ -349,3 +351,50 @@ def test_lazy_quadruplet_requires_examples():
     with pytest.raises(EmptyInput):
         net.lazy_quadruplet_loss(np.zeros(3), np.ones((1, 3)), np.zeros((0, 3)),
                                  np.zeros(3))
+
+
+def _frame_input(seed: int, n: int = 1024):
+    """A uniform ``n``-point submap in [-1, 1] and its local features."""
+    rng = np.random.default_rng(seed)
+    sub = cloud.Submap(points=rng.uniform(-1.0, 1.0, size=(n, 3)), scale=1.0)
+    return sub, features.local_features(sub)
+
+
+def describe_job():
+    """The net half of a ``describe --weights`` frame job at the default widths."""
+    sub, lf = _frame_input(30)
+    ws = net.random_weights(net.NetConfig(), seed=30)
+    return lambda: net.describe(sub, lf, ws)
+
+
+def baseline_job():
+    """A ``describe --baseline`` frame job: local features, then the histogram descriptor."""
+    sub, _ = _frame_input(31)
+    return lambda: net.baseline_descriptor(sub, features.local_features(sub))
+
+
+# pool jobs overlap only where their long numpy calls release the GIL: a
+# vector x matrix product through ``@`` held it for the whole 65,536 x 256
+# NetVLAD projection (11-18 ms a frame)
+@pytest.mark.parametrize("job", ["test_net:describe_job", "test_net:baseline_job"])
+def test_frame_jobs_hold_the_gil_briefly(job):
+    assert gil_hold(job) < 5e-3
+
+
+def describe_digest() -> str:
+    """sha256 of default-width descriptors of a few submaps, one of them upsampled."""
+    ws = net.random_weights(net.NetConfig(), seed=32)
+    h = hashlib.sha256()
+    for seed, n in ((33, 1024), (34, 700)):
+        sub, lf = _frame_input(seed, n)
+        h.update(net.describe(sub, lf, ws).tobytes())
+    rng = np.random.default_rng(35)
+    few = cloud.PointCloud(rng.uniform(-5.0, 5.0, size=(256, 3)))
+    sub = cloud.normalize_submap(few, 1024, seed=35)
+    h.update(net.describe(sub, features.local_features(sub), ws).tobytes())
+    return h.hexdigest()
+
+
+def test_describe_bytes_do_not_depend_on_blas_threads():
+    assert in_child("test_net:describe_digest", blas_threads=1) \
+        == in_child("test_net:describe_digest", blas_threads=2)

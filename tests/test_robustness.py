@@ -102,9 +102,10 @@ def test_mutated_containers_fail_as_format_error_or_round_trip(containers, which
 
 # flags with a documented range, each with hostile values; unbounded sizes
 # (n_sub, k_local, places, points) would only ask numpy for huge arrays and
-# are left out here: test_unallocatable_n_sub_is_one_error_line checks sizes
-# that no machine grants.  The velocity grid is bounded, so a tiny v_step and
-# a v_max far above v_min are drawn.
+# are left out here: test_unallocatable_n_sub_is_one_error_line and
+# test_unaddressable_synth_corpus_is_one_error_line check sizes that no
+# machine grants.  The velocity grid is bounded, so a tiny v_step and a v_max
+# far above v_min are drawn.
 _INT = ["-1", "0", "-5000", "1", "2", "3", "5", str(10 ** 30), "nan"]
 _FLOAT = ["-1", "0", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "0.5", "0.9", "1", "2"]
 _VELOCITIES = [("1e300", "1e300"), ("0.8", "inf"), ("inf", "inf"), ("nan", "1.2"),
@@ -193,6 +194,19 @@ def test_unallocatable_n_sub_is_one_error_line(small_corpus, argv, n_sub):
     code, out, err = _run_cli(small_corpus, argv + ["--baseline", "--n-sub", str(n_sub)])
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("E:OutOfMemory:"), err
+
+
+# 10**30 points, or 10**30 places, are more float64 points than numpy can
+# address, so synth refuses them before numpy is asked and writes nothing.
+# A size that could be granted is never run.
+@pytest.mark.parametrize("size", [["--points", str(10 ** 30)], ["--places", str(10 ** 30)]],
+                         ids=lambda size: size[0])
+def test_unaddressable_synth_corpus_is_one_error_line(small_corpus, size):
+    argv = ["synth", "huge", "--scenario", "loop", "--places", "3", "--points", "16"] + size
+    code, out, err = _run_cli(small_corpus, argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("E:OutOfMemory:"), err
+    assert not os.path.exists(os.path.join(small_corpus, "huge"))
 
 
 def _run_cli(root, argv) -> tuple:
