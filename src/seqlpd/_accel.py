@@ -10,9 +10,8 @@ starts a thread.
 The workers are threads of one interpreter, so jobs overlap only where
 their long numpy calls release the GIL.  ``@`` (``np.matmul``) holds it
 through a product of at most 500 output values however long its inner
-dimension, such as the NetVLAD projection's 65,536 x 256 vector x matrix
-product; ``np.dot`` releases it for any BLAS product.  The package writes
-such products, vector x matrix above all, as ``np.dot``.
+dimension, such as a vector x matrix product; ``np.dot`` releases it for
+any BLAS product.  The package writes such products as ``np.dot``.
 """
 
 import itertools

@@ -90,9 +90,10 @@ def _describe_dir(input_dir, cfg: config_mod.Config, model):
 
     ``model`` is None for the baseline descriptor, else (weights, NetConfig)
     from :func:`_load_net`.  Returns (frame_ids, poses, descriptors, stats)
-    where stats holds (point_count, seconds) per frame.  Frames are jobs of
-    ``run_jobs`` on ``thread_count()`` workers; each frame is independent, so any
-    worker count yields identical descriptors.
+    where stats holds (point_count, seconds) per frame.  The jobs of
+    ``run_jobs`` on ``thread_count()`` workers are single baseline frames, or
+    runs of net frames projected together by one ``net.project`` call, whose
+    time each frame of the run shares.  No worker count changes a descriptor.
     """
     frames = _list_frames(input_dir)
     pose_table = _load_poses(input_dir)
@@ -107,19 +108,47 @@ def _describe_dir(input_dir, cfg: config_mod.Config, model):
     else:
         poses = [Pose(0.0, 0.0, 0.0, fid) for fid in ids]
 
-    def job(i: int):
-        t0 = time.perf_counter()
+    def frame_input(i: int):
         if pose_table is not None:
             pc = accumulate_submap(clouds[:i + 1], poses[:i + 1], DEFAULT_TRAJECTORY_LEN)
         else:
             pc = clouds[i]
         sub = normalize_submap(pc, cfg.n_sub, seed=cfg.seed + i)
-        lf = local_features(sub, cfg.k_local)
-        desc = (net.baseline_descriptor(sub, lf) if model is None
-                else net.describe(sub, lf, *model))
-        return desc, (len(pc), time.perf_counter() - t0)
+        return len(pc), sub, local_features(sub, cfg.k_local)
 
-    results = run_jobs(job, range(len(clouds)), thread_count())
+    def baseline_job(i: int):
+        t0 = time.perf_counter()
+        npts, sub, lf = frame_input(i)
+        return [(net.baseline_descriptor(sub, lf), (npts, time.perf_counter() - t0))]
+
+    def net_job(run: range):
+        # a failure at frame j first projects frames run.start .. j-1, so a
+        # zero projection of an earlier frame is the error, as in a serial loop
+        buf = np.empty((len(run), model[1].flat_width))
+        stats = []
+        try:
+            for row, i in enumerate(run):
+                t0 = time.perf_counter()
+                npts, sub, lf = frame_input(i)
+                net.vlad_vector(sub, lf, *model, out=buf[row])
+                stats.append((npts, time.perf_counter() - t0))
+        except Exception:
+            net.project(buf[:len(stats)], model[0])
+            raise
+        t0 = time.perf_counter()
+        descs = net.project(buf, model[0])
+        share = (time.perf_counter() - t0) / len(run)
+        return [(d, (npts, secs + share)) for d, (npts, secs) in zip(descs, stats)]
+
+    n = len(clouds)
+    workers = thread_count()
+    if model is None:
+        jobs, fn = range(n), baseline_job
+    else:
+        # up to 8 frames a run, and at least two runs a worker
+        size = min(8, -(-n // (2 * workers)))
+        jobs, fn = [range(lo, min(lo + size, n)) for lo in range(0, n, size)], net_job
+    results = [r for rs in run_jobs(fn, jobs, workers) for r in rs]
     descs = [r[0] for r in results]
     stats = [r[1] for r in results]
     return ids, poses, descs, stats

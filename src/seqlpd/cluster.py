@@ -54,9 +54,8 @@ same clustering, bit for bit, as one that recomputes everything:
     runs the full product for all of them.
   - Size rule.  Bounds are kept only on maps of at least ``_POOL_MIN_SIZE``
     elements.  Below that line a restart is Python-bound and the
-    bookkeeping costs more than the products it skips (kept at every size,
-    bounds made a 60 x 256 elbow 13-18% slower), so every step there runs
-    the full product.
+    bookkeeping costs more than the products it skips, so every step there
+    runs the full product.
 
   The slack, ``1e-9 (1 + 2 max|x|^2)``, is over 10^4 times the rounding of
   a 256-term product.  It also covers the bound arithmetic: the shifts'

@@ -7,13 +7,16 @@ The network maps a normalized submap plus its per-point features to a
     -> shared per-point MLP -> graph aggregation over feature-space kNN
     -> shared MLP -> NetVLAD pooling -> projection -> L2 normalize
 
-Inference runs in float32; the NetVLAD accumulation and projection run
-in float64 so that permutations of the input rows perturb the output far
-below test tolerances.  There is no training here: weights come from a
-file or from a seeded random initializer, and a weight-free histogram
-baseline covers pipeline tests.  Each tensor is held once, in the form the
-forward pass reads: the NetVLAD projection (``vlad.proj.w``, 65,536 x 256
-at the default widths) in float64 alone, the rest in float32.
+``vlad_vector`` is the per-frame part, up to the flat pooled vector, and
+``project`` maps a batch of those to descriptors with one GEMM, so callers
+that describe many frames project them together; ``describe`` is the two
+for one frame.  Inference runs in float32; the NetVLAD accumulation and
+projection run in float64 so that permutations of the input rows perturb
+the output far below test tolerances.  There is no training here: weights
+come from a file or from a seeded random initializer, and a weight-free
+histogram baseline covers pipeline tests.  Each tensor is held once, in the
+form the forward pass reads: the NetVLAD projection (``vlad.proj.w``,
+65,536 x 256 at the default widths) in float64 alone, the rest in float32.
 Descriptors are plain float32 numpy vectors.
 """
 
@@ -72,6 +75,11 @@ class NetConfig:
     def vlad_width(self) -> int:
         return self.post_mlp[-1]
 
+    @property
+    def flat_width(self) -> int:
+        """Length of the flat VLAD vector that ``project`` takes."""
+        return self.vlad_clusters * self.vlad_width
+
 
 def _chain(shapes: dict, prefix: str, d_in: int, widths) -> int:
     for i, w in enumerate(widths):
@@ -97,7 +105,7 @@ def expected_shapes(config: NetConfig) -> dict:
     shapes["vlad.assign.w"] = (d, c)
     shapes["vlad.assign.b"] = (c,)
     shapes["vlad.centers"] = (c, d)
-    shapes["vlad.proj.w"] = (c * d, config.descriptor_dim)
+    shapes["vlad.proj.w"] = (config.flat_width, config.descriptor_dim)
     shapes["vlad.proj.b"] = (config.descriptor_dim,)
     return shapes
 
@@ -326,14 +334,12 @@ def graph_aggregate(feats: np.ndarray, k_graph: int, ws: WeightSet,
     return pooled
 
 
-def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -> np.ndarray:
-    """Soft-assign rows to cluster centers, pool residuals, project to the unit descriptor.
+def _pool_vlad(feats: np.ndarray, ws: WeightSet, out: np.ndarray = None) -> np.ndarray:
+    """Soft-assign rows to cluster centers and pool their residuals: the flat,
+    intra-normalized float64 VLAD vector, written into ``out`` when given.
 
     Residual accumulation runs in float64 so the result is invariant to row
-    permutations well below 1e-6.  The projection, a 65,536 x 256 float64
-    vector x matrix product at the default widths, is ``np.dot``: it
-    releases the GIL, so another pool worker runs while it does, and gives
-    the bytes ``@`` gives.  ``@`` holds the GIL for the whole product.
+    permutations well below 1e-6.
     """
     x = np.asarray(feats, dtype=np.float32)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -346,25 +352,51 @@ def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -
     a = np.exp(logits)
     a /= a.sum(axis=1, keepdims=True)
     x64 = x.astype(np.float64)
-    vlad = a.T @ x64 - a.sum(axis=0)[:, None] * centers.astype(np.float64)
+    vlad = np.matmul(a.T, x64, out=None if out is None else out.reshape(centers.shape))
+    vlad -= a.sum(axis=0)[:, None] * centers.astype(np.float64)
     norms = np.linalg.norm(vlad, axis=1)
     nonzero = norms > 0.0
     vlad[nonzero] /= norms[nonzero, None]
-    flat = vlad.ravel()
+    return vlad.ravel()
+
+
+def project(flats: np.ndarray, ws: WeightSet) -> np.ndarray:
+    """Project a batch of flat VLAD vectors, one a row, to unit float32 descriptors.
+
+    The product, (B x 65,536) x (65,536 x 256) float64 at the default widths,
+    is one ``np.dot`` GEMM, which releases the GIL.  It always has at least
+    two rows: numpy sends a one-row product to GEMV, whose bits may differ,
+    so a lone vector is padded with a zero row.  A GEMM row's bytes do not
+    depend on the other rows, so a descriptor does not depend on its batch.
+    Rows are normalized in order; the first zero row raises NormError.
+    """
     proj_w = ws.float64("vlad.proj.w")
-    if flat.shape[0] != proj_w.shape[0]:
+    if flats.ndim != 2 or flats.shape[1] != proj_w.shape[0]:
         raise ShapeError(f"tensor 'vlad.proj.w' expects input width {proj_w.shape[0]}, "
-                         f"got {flat.shape[0]}")
-    out = np.dot(flat, proj_w) + ws["vlad.proj.b"].astype(np.float64)
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
-        raise NormError("projection produced a zero vector")
-    return (out / norm).astype(np.float32)
+                         f"got {flats.shape[1:]}")
+    n = flats.shape[0]
+    if n == 1:
+        flats = np.concatenate([flats, np.zeros_like(flats)])
+    out = np.dot(flats, proj_w)
+    out += ws["vlad.proj.b"].astype(np.float64)
+    for i in range(n):
+        norm = float(np.linalg.norm(out[i]))
+        if norm == 0.0:
+            raise NormError("projection produced a zero vector")
+        out[i] /= norm
+    return out[:n].astype(np.float32)
 
 
-def describe(submap: Submap, lf: np.ndarray, ws: WeightSet,
-             config: NetConfig = NetConfig()) -> np.ndarray:
-    """Full forward pass from a normalized submap to its global descriptor."""
+def netvlad(feats: np.ndarray, ws: WeightSet, config: NetConfig = NetConfig()) -> np.ndarray:
+    """Pool residuals to the flat VLAD vector, then ``project`` it to the unit descriptor."""
+    return project(_pool_vlad(feats, ws)[None], ws)[0]
+
+
+def vlad_vector(submap: Submap, lf: np.ndarray, ws: WeightSet,
+                config: NetConfig = NetConfig(), out: np.ndarray = None) -> np.ndarray:
+    """The per-frame part of ``describe``: the forward pass from a normalized
+    submap to its flat VLAD vector (``config.flat_width`` float64 values),
+    written into ``out`` when given."""
     lf = np.asarray(lf, dtype=np.float32)
     if lf.ndim != 2 or lf.shape[1] != FEATURE_DIM:
         raise ShapeError(f"feature matrix must be (n, {FEATURE_DIM})")
@@ -378,7 +410,14 @@ def describe(submap: Submap, lf: np.ndarray, ws: WeightSet,
     h = _mlp(inp, ws, "point", len(config.point_mlp))
     g = graph_aggregate(h, config.k_graph, ws, config)
     h2 = _mlp(g, ws, "post", len(config.post_mlp))
-    return netvlad(h2, ws, config)
+    return _pool_vlad(h2, ws, out)
+
+
+def describe(submap: Submap, lf: np.ndarray, ws: WeightSet,
+             config: NetConfig = NetConfig()) -> np.ndarray:
+    """Full forward pass from a normalized submap to its global descriptor:
+    ``vlad_vector``, then ``project`` of that one row."""
+    return project(vlad_vector(submap, lf, ws, config)[None], ws)[0]
 
 
 # histogram layout of the weight-free baseline: value range and bin count per channel

@@ -9,6 +9,7 @@ import pytest
 
 from seqlpd import cli, config, kernels, metrics, net, placemap
 from seqlpd.cloud import load_kitti_bin, normalize_submap
+from seqlpd.errors import EmptyInput, NormError
 from seqlpd.features import local_features
 
 DESCRIBE_FLAGS = ["--baseline", "--n-sub", "128", "--k-local", "8"]
@@ -160,6 +161,78 @@ def test_describe_dir_at_default_widths_matches_per_frame_at_1_and_2_workers(
                             lambda pid, n=threads: set(range(n)), raising=False)
         _, _, got, _ = cli._describe_dir(tmp_path, cfg, model)
         assert [d.tobytes() for d in got] == want
+
+
+def test_describe_dir_runs_project_once_a_run_at_any_worker_count(tmp_path, monkeypatch):
+    # default widths, 9 frames: runs of 5 at one worker, 3 at two and 2 at four,
+    # whose last run is a lone frame; the GEMMs spied on np.dot
+    rng = np.random.default_rng(13)
+    for i in range(9):
+        rng.uniform(-20.0, 20.0, size=(400 + 100 * i, 4)).astype("<f4").tofile(
+            tmp_path / f"{i:06d}.bin")
+    cfg = config.Config(n_sub=1024, seed=7)
+    ws = net.random_weights(net.NetConfig(), seed=13)
+    model = (ws, net.fit_widths(ws, cfg.net_config()))
+    project, dot = net.project, np.dot
+    runs, gemm_rows = [], []
+
+    def spy_project(flats, weights):
+        runs.append(len(flats))
+        return project(flats, weights)
+
+    def spy_dot(a, b, *args, **kwargs):
+        if b.shape == (model[1].flat_width, model[1].descriptor_dim):
+            gemm_rows.append(a.shape[0])
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(net, "project", spy_project)
+    monkeypatch.setattr(np, "dot", spy_dot)
+    got = {}
+    for threads, want_runs in ((1, [5, 4]), (2, [3, 3, 3]), (4, [2, 2, 2, 2, 1])):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=threads: set(range(n)), raising=False)
+        runs.clear()
+        gemm_rows.clear()
+        ids, _, descs, stats = cli._describe_dir(tmp_path, cfg, model)
+        assert ids == list(range(9)) and len(stats) == 9
+        assert sorted(runs) == sorted(want_runs) and sorted(gemm_rows) == sorted(
+            max(n, 2) for n in want_runs)
+        got[threads] = [d.tobytes() for d in descs]
+    assert got[1] == got[2] == got[4]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_describe_dir_raises_the_error_of_a_serial_loop(tmp_path, monkeypatch, workers):
+    # six frames, frame 2 failing before its projection: with a zero projection
+    # the NormError of frame 0 comes first, as it would in a serial loop
+    rng = np.random.default_rng(14)
+    for i in range(6):
+        rng.uniform(-1.0, 1.0, size=(40, 4)).astype("<f4").tofile(tmp_path / f"{i:06d}.bin")
+    cfg = config.Config(n_sub=48, k_local=6, k_graph=4, seed=5)
+    small = net.NetConfig(k_graph=4, vlad_clusters=6, point_mlp=(12, 16),
+                          edge_mlp=(16, 24), post_mlp=(32,), tnet_mlp=(8, 12, 16),
+                          tnet_fc=(12, 8), descriptor_dim=40)
+    tensors = dict(net.random_weights(small, seed=14).items())
+    live = net.WeightSet(tensors)
+    tensors["vlad.proj.w"] = np.zeros_like(tensors["vlad.proj.w"])
+    tensors["vlad.proj.b"] = np.zeros_like(tensors["vlad.proj.b"])
+    dead = net.WeightSet(tensors)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(workers)), raising=False)
+    normalize = cli.normalize_submap
+
+    def failing_at(frame):
+        def fn(pc, n_sub, seed):
+            if seed == cfg.seed + frame:
+                raise EmptyInput(f"frame {frame}")
+            return normalize(pc, n_sub, seed=seed)
+        return fn
+
+    for frame, ws, error in ((2, dead, NormError), (2, live, EmptyInput),
+                             (0, dead, EmptyInput), (3, dead, NormError)):
+        monkeypatch.setattr(cli, "normalize_submap", failing_at(frame))
+        with pytest.raises(error):
+            cli._describe_dir(tmp_path, cfg, (ws, small))
 
 
 def test_match_end_to_end(corpus, capsys):

@@ -373,10 +373,26 @@ def baseline_job():
     return lambda: net.baseline_descriptor(sub, features.local_features(sub))
 
 
+def batch_job():
+    """A ``describe --weights`` run of six frames: each frame's VLAD vector
+    into one buffer, then one projection of the buffer."""
+    frames = [_frame_input(36 + i) for i in range(6)]
+    config = net.NetConfig()
+    ws = net.random_weights(config, seed=36)
+
+    def job():
+        buf = np.empty((len(frames), config.flat_width))
+        for row, (sub, lf) in enumerate(frames):
+            net.vlad_vector(sub, lf, ws, config, out=buf[row])
+        return net.project(buf, ws)
+    return job
+
+
 # pool jobs overlap only where their long numpy calls release the GIL: a
 # vector x matrix product through ``@`` held it for the whole 65,536 x 256
 # NetVLAD projection (11-18 ms a frame)
-@pytest.mark.parametrize("job", ["test_net:describe_job", "test_net:baseline_job"])
+@pytest.mark.parametrize("job", ["test_net:describe_job", "test_net:baseline_job",
+                                 "test_net:batch_job"])
 def test_frame_jobs_hold_the_gil_briefly(job):
     assert gil_hold(job) < 5e-3
 
@@ -398,3 +414,56 @@ def describe_digest() -> str:
 def test_describe_bytes_do_not_depend_on_blas_threads():
     assert in_child("test_net:describe_digest", blas_threads=1) \
         == in_child("test_net:describe_digest", blas_threads=2)
+
+
+def project_digest() -> str:
+    """sha256 of 16 default-width projections, one row at a time, after
+    checking that every row has the same bytes in batches of 2, 7 and 16
+    rows at every offset."""
+    config = net.NetConfig()
+    ws = net.random_weights(config, seed=37)
+    rng = np.random.default_rng(37)
+    flats = rng.normal(size=(16, config.vlad_clusters, config.vlad_width))
+    flats /= np.linalg.norm(flats, axis=2, keepdims=True)
+    flats = flats.reshape(16, -1)
+    alone = [net.project(flats[i:i + 1], ws)[0].tobytes() for i in range(16)]
+    for size in (2, 7, 16):
+        for lo in range(16 - size + 1):
+            got = net.project(flats[lo:lo + size], ws)
+            assert got.dtype == np.float32 and got.shape == (size, 256)
+            assert [row.tobytes() for row in got] == alone[lo:lo + size], (size, lo)
+    return hashlib.sha256(b"".join(alone)).hexdigest()
+
+
+def test_project_bytes_do_not_depend_on_batch_or_blas_threads():
+    assert in_child("test_net:project_digest", blas_threads=1) \
+        == in_child("test_net:project_digest", blas_threads=2)
+
+
+def test_project_is_one_gemm_of_at_least_two_rows(monkeypatch):
+    ws = net.random_weights(SMALL, seed=38)
+    flats = np.random.default_rng(38).normal(size=(3, SMALL.flat_width))
+    rows = []
+    dot = np.dot
+
+    def spy(a, b, *args, **kwargs):
+        if b.shape == (SMALL.flat_width, SMALL.descriptor_dim):
+            rows.append(a.shape[0])
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", spy)
+    for n in (1, 2, 3):
+        assert net.project(flats[:n], ws).shape == (n, SMALL.descriptor_dim)
+    assert rows == [2, 2, 3]
+    with pytest.raises(ShapeError):
+        net.project(flats[:, :-1], ws)
+
+
+def test_describe_is_vlad_vector_then_project():
+    ws = net.random_weights(SMALL, seed=39)
+    rng = np.random.default_rng(39)
+    sub, lf = _submap(rng, 50), _features(rng, 50)
+    buf = np.full((2, SMALL.flat_width), np.nan)
+    flat = net.vlad_vector(sub, lf, ws, SMALL, out=buf[1])
+    assert np.shares_memory(flat, buf[1]) and np.isnan(buf[0]).all()
+    assert net.project(buf[1:], ws)[0].tobytes() == net.describe(sub, lf, ws, SMALL).tobytes()

@@ -438,6 +438,26 @@ def test_one_exact_knn():
                        "_rerank": [("kernels.py", "_exact_knn")]}, callers
 
 
+def test_one_projection_site():
+    # the NetVLAD projection is read only by net.project, which batches frames
+    # into one GEMM; a second reader would be a second, per-frame projection
+    readers = []
+    for name, tree in _sources():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        args = node.args
+                    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                        args = [node.slice]
+                    else:
+                        continue
+                    if any(isinstance(a, ast.Constant) and a.value == "vlad.proj.w"
+                           for a in args):
+                        readers.append((name, func.name))
+    assert readers == [("net.py", "project")], readers
+
+
 def test_only_kernels_compute_squared_distances():
     # every squared distance and row norm comes from the kernels, which fix each
     # reduction (.sum or einsum) the oracles define and own the one row rule
