@@ -145,9 +145,15 @@ def _describe_dir(input_dir, cfg: config_mod.Config, model):
     if model is None:
         jobs, fn = range(n), baseline_job
     else:
-        # up to 8 frames a run, and at least two runs a worker
-        size = min(8, -(-n // (2 * workers)))
-        jobs, fn = [range(lo, min(lo + size, n)) for lo in range(0, n, size)], net_job
+        # 2 to 8 frames a run, two runs a worker where n allows.  A frame is
+        # a run alone only where it would otherwise leave a worker idle: when
+        # n <= workers, or as a last run that finds a free worker; a lone
+        # last frame that would wait for one joins the run before it.
+        size = 1 if n <= workers else max(2, min(8, -(-n // (2 * workers))))
+        starts = list(range(0, n, size))
+        if len(starts) > workers and n - starts[-1] == 1:
+            starts.pop()
+        jobs, fn = [range(a, b) for a, b in zip(starts, starts[1:] + [n])], net_job
     results = [r for rs in run_jobs(fn, jobs, workers) for r in rs]
     descs = [r[0] for r in results]
     stats = [r[1] for r in results]

@@ -347,6 +347,9 @@ def _pool_vlad(feats: np.ndarray, ws: WeightSet, out: np.ndarray = None) -> np.n
     centers = ws["vlad.centers"]
     if x.shape[1] != centers.shape[1]:
         raise ShapeError(f"tensor 'vlad.centers' expects width {centers.shape[1]}, got {x.shape[1]}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.flags.c_contiguous and out.size == centers.size):
+        raise ShapeError(f"out must be a C-contiguous float64 array of {centers.size} values")
     logits = _dense(x, ws, "vlad.assign", relu=False).astype(np.float64)
     logits -= logits.max(axis=1, keepdims=True)
     a = np.exp(logits)
@@ -396,7 +399,8 @@ def vlad_vector(submap: Submap, lf: np.ndarray, ws: WeightSet,
                 config: NetConfig = NetConfig(), out: np.ndarray = None) -> np.ndarray:
     """The per-frame part of ``describe``: the forward pass from a normalized
     submap to its flat VLAD vector (``config.flat_width`` float64 values),
-    written into ``out`` when given."""
+    written into ``out`` when given, which must be a C-contiguous float64
+    array of that many values."""
     lf = np.asarray(lf, dtype=np.float32)
     if lf.ndim != 2 or lf.shape[1] != FEATURE_DIM:
         raise ShapeError(f"feature matrix must be (n, {FEATURE_DIM})")

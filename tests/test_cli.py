@@ -164,8 +164,10 @@ def test_describe_dir_at_default_widths_matches_per_frame_at_1_and_2_workers(
 
 
 def test_describe_dir_runs_project_once_a_run_at_any_worker_count(tmp_path, monkeypatch):
-    # default widths, 9 frames: runs of 5 at one worker, 3 at two and 2 at four,
-    # whose last run is a lone frame; the GEMMs spied on np.dot
+    # default widths, 9 frames: runs of 5 at one worker and 3 at two; runs of
+    # 2 at four workers, where the lone last frame would wait and so joins the
+    # run before it, and at eight, where it has a worker to itself; one frame
+    # a run at sixteen; the GEMMs spied on np.dot
     rng = np.random.default_rng(13)
     for i in range(9):
         rng.uniform(-20.0, 20.0, size=(400 + 100 * i, 4)).astype("<f4").tofile(
@@ -188,7 +190,8 @@ def test_describe_dir_runs_project_once_a_run_at_any_worker_count(tmp_path, monk
     monkeypatch.setattr(net, "project", spy_project)
     monkeypatch.setattr(np, "dot", spy_dot)
     got = {}
-    for threads, want_runs in ((1, [5, 4]), (2, [3, 3, 3]), (4, [2, 2, 2, 2, 1])):
+    for threads, want_runs in ((1, [5, 4]), (2, [3, 3, 3]), (4, [2, 2, 2, 3]),
+                               (8, [2, 2, 2, 2, 1]), (16, [1] * 9)):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, n=threads: set(range(n)), raising=False)
         runs.clear()
@@ -198,7 +201,7 @@ def test_describe_dir_runs_project_once_a_run_at_any_worker_count(tmp_path, monk
         assert sorted(runs) == sorted(want_runs) and sorted(gemm_rows) == sorted(
             max(n, 2) for n in want_runs)
         got[threads] = [d.tobytes() for d in descs]
-    assert got[1] == got[2] == got[4]
+    assert got[1] == got[2] == got[4] == got[8] == got[16]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

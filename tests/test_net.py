@@ -467,3 +467,17 @@ def test_describe_is_vlad_vector_then_project():
     flat = net.vlad_vector(sub, lf, ws, SMALL, out=buf[1])
     assert np.shares_memory(flat, buf[1]) and np.isnan(buf[0]).all()
     assert net.project(buf[1:], ws)[0].tobytes() == net.describe(sub, lf, ws, SMALL).tobytes()
+
+
+def test_vlad_vector_refuses_an_out_it_cannot_write_in_place():
+    # a strided, short or float32 out would be written through a copy or not
+    # at all, leaving the caller's buffer unset
+    ws = net.random_weights(SMALL, seed=41)
+    rng = np.random.default_rng(41)
+    sub, lf = _submap(rng, 50), _features(rng, 50)
+    buf = np.full((SMALL.flat_width, 2), np.nan)
+    for out in (buf[:, 0], buf[:-1, :].ravel()[:SMALL.flat_width - 1],
+                np.empty(SMALL.flat_width, np.float32)):
+        with pytest.raises(ShapeError):
+            net.vlad_vector(sub, lf, ws, SMALL, out=out)
+    assert np.isnan(buf).all()
