@@ -14,14 +14,20 @@ reduced in restart order with a strict ``<``.  On maps of at least
 ``_POOL_MIN_SIZE`` matrix elements (about 1,024 rows at d = 256) the jobs
 run on a pool of ``_accel.thread_count()`` threads; smaller maps
 run them serially, since their jobs are too short to gain from threads.
-The chosen clustering does not depend on the worker count.  The exact
-distance passes run in cache-sized row blocks; each row's value is the same
-as in an unblocked pass.
+The chosen clustering does not depend on the worker count.  The restarts
+share the map's row norms and rounding slack, computed once per sweep.  The
+exact distance passes run in cache-sized row blocks; each row's value is the
+same as in an unblocked pass.
 
 Each run skips only work that cannot change its result, so it gives the
 same clustering, bit for bit, as one that recomputes everything:
 
-* Seeding.  For each new center, one GEMV gives every row an approximate
+* Seeding.  Each new center ``j`` lowers every row's ``d2`` to its exact
+  distance to ``x[j]`` where that is smaller.  An elbow sweep on a map of no
+  more rows than dimensions (n <= d, so the n x n matrix is no larger than
+  the map) computes those distances once, as ``pair_d2[j]``, and every
+  restart reads them from it.  On a larger map, or in a lone
+  :func:`kmeanspp` call, one GEMV gives every row an approximate
   squared distance, ``sqx + sqx[j] - 2 x @ x[j]``.  Only a row whose value,
   less the rounding slack of :func:`kernels.approx_slack`, is below its
   current ``d2`` gets its exact distance computed; any other row's exact
@@ -168,15 +174,33 @@ def _closer_rows(x: np.ndarray, sqx: np.ndarray, j: int, d2: np.ndarray, slack: 
     return (buf < d2).nonzero()[0]
 
 
+@dataclass(frozen=True)
+class _MapRows:
+    """What every restart on one map reads: its float64 rows, their squared
+    norms (:func:`kernels.sq_norms`), the rounding slack of their approximate
+    distances and, when the elbow builds it, ``pair_d2``, whose row ``j`` is
+    every row's exact seeding distance to row ``j``."""
+
+    x: np.ndarray
+    sqx: np.ndarray
+    slack: float
+    pair_d2: np.ndarray = None
+
+
+def _map_rows(x: np.ndarray, pairs: bool = False) -> _MapRows:
+    sqx = kernels.sq_norms(x, "descriptor rows")
+    return _MapRows(x, sqx, kernels.approx_slack(sqx), _pair_d2(x) if pairs else None)
+
+
 # under the row rule (kernels.sq_norms) only the weights' sum can overflow, and
 # the InvalidParams raised then reports it
 @np.errstate(over="ignore")
-def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
+def _seed_centers(m: _MapRows, k: int, rng) -> np.ndarray:
     """K-means++ seeding: first center uniform, the rest weighted by squared distance."""
+    x, pair_d2 = m.x, m.pair_d2
     n = x.shape[0]
-    slack = kernels.approx_slack(sqx)
     chosen = [int(rng.integers(n))]
-    d2 = kernels.sum_d2(x, x[chosen[0]])
+    d2 = kernels.sum_d2(x, x[chosen[0]]) if pair_d2 is None else pair_d2[chosen[0]].copy()
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
     buf = np.empty(n)
@@ -190,20 +214,36 @@ def _seed_centers(x: np.ndarray, k: int, rng, sqx: np.ndarray) -> np.ndarray:
             j = int(np.flatnonzero(~taken)[0])
         chosen.append(j)
         taken[j] = True
+        if pair_d2 is not None:
+            np.minimum(d2, pair_d2[j], out=d2)
+            continue
         # while d2 averages within the slack the filter would keep about every row
-        rows = _closer_rows(x, sqx, j, d2, slack, buf) if total > n * slack else None
+        rows = _closer_rows(x, m.sqx, j, d2, m.slack, buf) if total > n * m.slack else None
         sel = slice(None) if rows is None else rows
         d2[sel] = np.minimum(d2[sel], kernels.sum_d2(x, x[j], rows=rows))
     return x[np.array(chosen, dtype=np.int64)].copy()
 
 
+# the seeding's own distances, under its error state (see _seed_centers)
+@np.errstate(over="ignore")
+def _pair_d2(x: np.ndarray) -> np.ndarray:
+    """Row ``j`` is ``kernels.sum_d2(x, x[j])`` bit for bit, from the upper
+    triangle alone: a row's value does not depend on the rows computed with
+    it, and ``x[i] - x[j]`` squares to the values ``x[j] - x[i]`` does."""
+    out = np.empty((x.shape[0], x.shape[0]))
+    for j in range(x.shape[0]):
+        out[j, j:] = kernels.sum_d2(x[j:], x[j])
+        out[j:, j] = out[j, j:]
+    return out
+
+
 def _row_mean(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x[rows].mean(axis=0)`` bit for bit, copying at most one row block at a time:
     that sum adds the rows in order, so each block's sum starts from the running sum."""
-    if x.shape[1] == 1:  # numpy sums a single column pairwise
-        return x[rows].mean(axis=0)
     step = kernels.row_block(x.shape[1])
-    buf = np.empty((min(step, rows.shape[0]) + 1, x.shape[1]))  # the running sum, then one block
+    if rows.shape[0] <= step or x.shape[1] == 1:  # numpy sums a single column pairwise
+        return np.add.reduce(x[rows], axis=0) / rows.shape[0]
+    buf = np.empty((step + 1, x.shape[1]))  # the running sum, then one block
     for s in range(0, rows.shape[0], step):
         r = rows[s:s + step]
         # "clip" lets take write into buf without a temporary; the indices are valid
@@ -266,8 +306,8 @@ def _bounded_assign(x: np.ndarray, sqx: np.ndarray, centers: np.ndarray, shift: 
     return new_assign
 
 
-def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
-             iters_max: int = 100) -> Clustering:
+def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0, iters_max: int = 100, *,
+             _rows: _MapRows = None) -> Clustering:
     """K-means++ seeding followed by Lloyd iterations until the assignment is fixed.
 
     An empty cluster is repaired by re-seeding its center at the point
@@ -283,14 +323,13 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
     if not 1 <= K <= n:
         raise InvalidK(f"K={K} outside [1, {n}]")
 
-    rng = np.random.default_rng(seed)
-    sqx = kernels.sq_norms(x, "descriptor rows")
-    centers = _seed_centers(x, K, rng, sqx)
+    m = _map_rows(x) if _rows is None else _rows
+    sqx, slack = m.sqx, m.slack
+    centers = _seed_centers(m, K, np.random.default_rng(seed))
     assign, d2, second = kernels.kmeans_assign(x, centers, sqx)
     # lo[i]: a lower bound on row i's distance to every center but its own
     lo = None
     if K > 1 and x.size >= _POOL_MIN_SIZE:
-        slack = kernels.approx_slack(sqx)
         lo = np.sqrt(np.maximum(second - slack, 0.0))
     history = [float(d2.sum())]
     # is_mean[k]: center k is the mean of cluster k's current members
@@ -341,10 +380,10 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0,
                       distortion=history[-1], history=tuple(history))
 
 
-def _best_of_restarts(x: np.ndarray, k: int, params: ClusterParams) -> Clustering:
+def _best_of_restarts(m: _MapRows, k: int, params: ClusterParams) -> Clustering:
     best = None
     for r in range(3):
-        c = kmeanspp(x, k, seed=params.seed + 1000 * k + r)
+        c = kmeanspp(m.x, k, seed=params.seed + 1000 * k + r, _rows=m)
         if best is None or c.distortion < best.distortion:
             best = c
     return best
@@ -370,7 +409,9 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     # on one thread; a job keeps only its best restart
     ks = list(range(k_max, 0, -1))
     workers = thread_count() if x.size >= _POOL_MIN_SIZE else 1
-    runs = dict(zip(ks, run_jobs(lambda k: _best_of_restarts(x, k, params), ks, workers)))
+    # the n x n seeding matrix, when n <= d, is no larger than the map
+    m = _map_rows(x, pairs=n <= x.shape[1])
+    runs = dict(zip(ks, run_jobs(lambda k: _best_of_restarts(m, k, params), ks, workers)))
     j_curve = tuple(runs[k].distortion for k in range(1, k_max + 1))
 
     if k_max >= 3:

@@ -270,6 +270,7 @@ def test_elbow_validates_params():
         cluster.ClusterParams(D=1.0, seed=-5000)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,
                                  np.sqrt(0.5 * np.finfo(np.float64).max)])
 def test_non_finite_rows_are_invalid_params(bad):
@@ -279,8 +280,11 @@ def test_non_finite_rows_are_invalid_params(bad):
     x[5, 3] = bad
     with pytest.raises(InvalidParams, match="finite"):
         cluster.kmeanspp(x, K=3, seed=0)
-    with pytest.raises(InvalidParams, match="finite"):
-        cluster.elbow_select(x, cluster.ClusterParams(D=1.0, K_max=4))
+    # 12 rows of 8 seed through the prefilter, 8 of 8 from the pair matrix,
+    # which is built only from rows that pass the rule
+    for rows in (x, x[:8]):
+        with pytest.raises(InvalidParams, match="finite"):
+            cluster.elbow_select(rows, cluster.ClusterParams(D=1.0, K_max=4))
 
 
 def _elbow_input(kind, n, seed):
@@ -345,6 +349,82 @@ def test_elbow_pooled_path_matches_sequential_oracle(monkeypatch, threads, kind)
     assert seen == [threads]
 
 
+def _spy_pair_d2(monkeypatch):
+    built = []
+    pair_d2 = cluster._pair_d2
+    monkeypatch.setattr(cluster, "_pair_d2", lambda x: built.append(x.shape) or pair_d2(x))
+    return built
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["identical", "rounded", "duplicated", "tiny", "huge"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["n=d", "n=d+1"])
+def test_elbow_seeding_matrix_matches_sequential_oracle(monkeypatch, threads, kind, extra):
+    _cpus(monkeypatch, threads)
+    monkeypatch.setattr(cluster, "_POOL_MIN_SIZE", 0)  # the restarts run on the pool
+    seen = _spy_workers(monkeypatch)
+    built = _spy_pair_d2(monkeypatch)
+    x = _kmeans_input(kind, 24 + extra, 24, seed=25)
+    _assert_elbow_matches_oracle(x, D=1.0, K_max=10, seed=6)
+    assert seen == [threads]
+    # n = d seeds from the pair matrix, n = d + 1 through the prefilter
+    assert built == ([(24, 24)] if extra == 0 else [])
+
+
+def test_restarts_share_the_seeding_matrix_read_only_under_thread_churn(monkeypatch):
+    # every restart seeds from its own copy of a pair-matrix row; a restart
+    # that wrote into the shared matrix would change the others' seeding
+    _cpus(monkeypatch, 8)  # more workers than cores
+    monkeypatch.setattr(cluster, "_POOL_MIN_SIZE", 0)
+    built = _spy_pair_d2(monkeypatch)
+    x = _kmeans_input("normal", 40, 40, seed=29)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_elbow_matches_oracle(x, D=1.0, K_max=16, seed=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [(40, 40)]
+
+
+def test_elbow_builds_the_seeding_matrix_once_when_n_is_at_most_d(monkeypatch):
+    built = _spy_pair_d2(monkeypatch)
+    calls = []
+    run = cluster.kmeanspp
+    monkeypatch.setattr(cluster, "kmeanspp", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    rng = np.random.default_rng(26)
+    for n, d in ((1, 4), (4, 4), (60, 256), (256, 256), (5, 4), (257, 256)):
+        built.clear()
+        calls.clear()
+        res = cluster.elbow_select(rng.normal(size=(n, d)), cluster.ClusterParams(D=1.0, K_max=5))
+        assert built == ([(n, d)] if n <= d else []), (n, d)
+        assert len(calls) == 3 * len(res.j_curve)  # one kmeanspp call a restart
+    built.clear()
+    cluster.kmeanspp(rng.normal(size=(60, 256)), 5, seed=0)  # a lone run filters
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_pair_d2_rows_are_sum_d2(kind):
+    # 150 rows of 2,048 span three row blocks, so the triangle's shorter rows
+    # start mid-block
+    for n, d in ((1, 3), (5, 1), (40, 32), (150, 2048)):
+        x = np.ascontiguousarray(_kmeans_input(kind, n, d, seed=27))
+        pair = cluster._pair_d2(x)
+        for j in range(n):
+            assert pair[j].tobytes() == kernels.sum_d2(x, x[j]).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 256])
+def test_row_mean_is_numpy_mean(d):
+    rng = np.random.default_rng(28)
+    step = kernels.row_block(d)
+    x = rng.normal(size=(2 * step + 3, d))
+    for m in (1, 2, step, step + 1, 2 * step + 3):
+        rows = np.sort(rng.choice(x.shape[0], size=m, replace=False))
+        assert cluster._row_mean(x, rows).tobytes() == x[rows].mean(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_elbow_k_max_at_least_n_matches_oracle(monkeypatch, threads):
     _cpus(monkeypatch, threads)
@@ -383,6 +463,9 @@ def test_seeding_weight_overflow_is_invalid_params():
         cluster.kmeanspp(x * 5e153, K=3, seed=0)
     with pytest.raises(InvalidParams, match="seeding weights overflow"):
         cluster.elbow_select(x * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
+    # n <= d: the restarts seed from the pair matrix, built under the same error state
+    with pytest.raises(InvalidParams, match="seeding weights overflow"):
+        cluster.elbow_select(x[:16] * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
 
 
 def test_run_jobs_keeps_job_order_and_uses_the_caller():
