@@ -23,17 +23,19 @@ Each run skips only work that cannot change its result, so it gives the
 same clustering, bit for bit, as one that recomputes everything:
 
 * Seeding.  Each new center ``j`` lowers every row's ``d2`` to its exact
-  distance to ``x[j]`` where that is smaller.  An elbow sweep on a map of no
-  more rows than dimensions (n <= d, so the n x n matrix is no larger than
-  the map) computes those distances once, as ``pair_d2[j]``, and every
-  restart reads them from it.  On a larger map, or in a lone
-  :func:`kmeanspp` call, one GEMV gives every row an approximate
-  squared distance, ``sqx + sqx[j] - 2 x @ x[j]``.  Only a row whose value,
-  less the rounding slack of :func:`kernels.approx_slack`, is below its
-  current ``d2`` gets its exact distance computed; any other row's exact
-  distance is at least its ``d2``, so the minimum keeps ``d2``.  While
-  ``d2`` averages within the slack the filter would pass about every row,
-  and the exact pass runs on all rows instead.
+  distance to ``x[j]`` where that is smaller.  An elbow sweep computes those
+  distances once, as ``pair_d2[j]``, and every restart reads them from it,
+  when the map has no more rows than dimensions (n <= d, so the n x n
+  matrix is no larger than the map) and no more rows than the sweep has
+  seeding steps (``3 k_max (k_max - 1) / 2``, 900 at K_max = 25): the
+  matrix costs a pass per row and saves a filtered pass per step.  On any
+  other map, or in a lone :func:`kmeanspp` call, one GEMV gives every row
+  an approximate squared distance, ``sqx + sqx[j] - 2 x @ x[j]``.  Only a
+  row whose value, less the rounding slack of :func:`kernels.approx_slack`,
+  is below its current ``d2`` gets its exact distance computed; any other
+  row's exact distance is at least its ``d2``, so the minimum keeps ``d2``.
+  While ``d2`` averages within the slack the filter would pass about every
+  row, and the exact pass runs on all rows instead.
 * Lloyd.  A cluster's mean is recomputed only when its members changed
   since its center was last their mean (seeded and repaired centers are not
   means); an unchanged cluster would sum the same rows in the same order.
@@ -316,7 +318,8 @@ def kmeanspp(descriptors: np.ndarray, K: int, seed: int = 0, iters_max: int = 10
     row rule of ``kernels.sq_norms``, or on rows so far apart that the sum of
     their seeding weights overflows.
     """
-    x = np.ascontiguousarray(descriptors, dtype=np.float64)
+    # the elbow's shared rows, when given, are the only source of rows
+    x = np.ascontiguousarray(descriptors, dtype=np.float64) if _rows is None else _rows.x
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInput("descriptor matrix must be (n, d) with n >= 1")
     n = x.shape[0]
@@ -409,8 +412,9 @@ def elbow_select(descriptors: np.ndarray, params: ClusterParams) -> ElbowResult:
     # on one thread; a job keeps only its best restart
     ks = list(range(k_max, 0, -1))
     workers = thread_count() if x.size >= _POOL_MIN_SIZE else 1
-    # the n x n seeding matrix, when n <= d, is no larger than the map
-    m = _map_rows(x, pairs=n <= x.shape[1])
+    # the n x n seeding matrix costs a pass per row and saves a filtered pass
+    # per seeding step; at n <= d it is no larger than the map
+    m = _map_rows(x, pairs=n <= min(x.shape[1], 3 * k_max * (k_max - 1) // 2))
     runs = dict(zip(ks, run_jobs(lambda k: _best_of_restarts(m, k, params), ks, workers)))
     j_curve = tuple(runs[k].distortion for k in range(1, k_max + 1))
 

@@ -371,33 +371,23 @@ def test_elbow_seeding_matrix_matches_sequential_oracle(monkeypatch, threads, ki
     assert built == ([(24, 24)] if extra == 0 else [])
 
 
-def test_restarts_share_the_seeding_matrix_read_only_under_thread_churn(monkeypatch):
-    # every restart seeds from its own copy of a pair-matrix row; a restart
-    # that wrote into the shared matrix would change the others' seeding
-    _cpus(monkeypatch, 8)  # more workers than cores
-    monkeypatch.setattr(cluster, "_POOL_MIN_SIZE", 0)
-    built = _spy_pair_d2(monkeypatch)
-    x = _kmeans_input("normal", 40, 40, seed=29)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _assert_elbow_matches_oracle(x, D=1.0, K_max=16, seed=7)
-    finally:
-        sys.setswitchinterval(interval)
-    assert built == [(40, 40)]
-
-
-def test_elbow_builds_the_seeding_matrix_once_when_n_is_at_most_d(monkeypatch):
+def test_elbow_builds_the_seeding_matrix_once_where_it_saves_passes(monkeypatch):
+    # built when n <= d and n <= the sweep's 3 k_max (k_max - 1) / 2 seeding steps
     built = _spy_pair_d2(monkeypatch)
     calls = []
     run = cluster.kmeanspp
     monkeypatch.setattr(cluster, "kmeanspp", lambda *a, **kw: calls.append(1) or run(*a, **kw))
     rng = np.random.default_rng(26)
-    for n, d in ((1, 4), (4, 4), (60, 256), (256, 256), (5, 4), (257, 256)):
+    for n, d, k_max, pairs in ((1, 4, 5, False),  # no seeding step
+                               (4, 4, 5, True), (5, 4, 25, False),
+                               (60, 256, 25, True), (256, 256, 25, True), (257, 256, 25, False),
+                               (30, 256, 5, True), (31, 256, 5, False), (256, 256, 5, False),
+                               (3, 256, 2, True), (4, 256, 2, False)):
         built.clear()
         calls.clear()
-        res = cluster.elbow_select(rng.normal(size=(n, d)), cluster.ClusterParams(D=1.0, K_max=5))
-        assert built == ([(n, d)] if n <= d else []), (n, d)
+        params = cluster.ClusterParams(D=1.0, K_max=k_max)
+        res = cluster.elbow_select(rng.normal(size=(n, d)), params)
+        assert built == ([(n, d)] if pairs else []), (n, d, k_max)
         assert len(calls) == 3 * len(res.j_curve)  # one kmeanspp call a restart
     built.clear()
     cluster.kmeanspp(rng.normal(size=(60, 256)), 5, seed=0)  # a lone run filters
@@ -455,7 +445,7 @@ def test_thread_count_is_the_affinity_mask(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_seeding_weight_overflow_is_invalid_params():
+def test_seeding_weight_overflow_is_invalid_params(monkeypatch):
     # one message for one error: the overflow is the InvalidParams, not a warning too
     x = random_unit(np.random.default_rng(0), 80, 16).astype(np.float64)
     cluster.kmeanspp(x * 1e153, K=3, seed=0)
@@ -463,9 +453,12 @@ def test_seeding_weight_overflow_is_invalid_params():
         cluster.kmeanspp(x * 5e153, K=3, seed=0)
     with pytest.raises(InvalidParams, match="seeding weights overflow"):
         cluster.elbow_select(x * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
-    # n <= d: the restarts seed from the pair matrix, built under the same error state
+    # 16 rows of 16 and 18 seeding steps: the restarts seed from the pair
+    # matrix, built under the same error state
+    built = _spy_pair_d2(monkeypatch)
     with pytest.raises(InvalidParams, match="seeding weights overflow"):
-        cluster.elbow_select(x[:16] * 5e153, cluster.ClusterParams(D=1.0, K_max=3))
+        cluster.elbow_select(x[:16] * 5e153, cluster.ClusterParams(D=1.0, K_max=4))
+    assert built == [(16, 16)]
 
 
 def test_run_jobs_keeps_job_order_and_uses_the_caller():
